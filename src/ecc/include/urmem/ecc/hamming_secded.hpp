@@ -62,6 +62,9 @@ class hamming_secded {
   /// Number of data bits d.
   [[nodiscard]] unsigned data_bits() const { return data_bits_; }
 
+  /// Guaranteed correctable bits per word (SEC-DED: 1).
+  [[nodiscard]] static constexpr unsigned t() { return 1; }
+
   /// Number of check bits including the overall parity bit (c = p + 1).
   [[nodiscard]] unsigned check_bits() const { return parity_bits_ + 1; }
 

@@ -53,6 +53,9 @@ class hsiao_code {
   /// Number of data bits d.
   [[nodiscard]] unsigned data_bits() const { return data_bits_; }
 
+  /// Guaranteed correctable bits per word (SEC-DED: 1).
+  [[nodiscard]] static constexpr unsigned t() { return 1; }
+
   /// Number of check bits k (all of them H-matrix rows; no overall
   /// parity rail — the odd-weight columns subsume it).
   [[nodiscard]] unsigned check_bits() const { return check_bits_; }

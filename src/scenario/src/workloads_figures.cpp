@@ -110,9 +110,9 @@ class fig5_workload final : public workload {
     std::vector<empirical_cdf> cdfs;
     if (analytic_) {
       // The analytic convolution builds ONE per-row cost distribution
-      // from the row-agnostic worst_case_row_cost; a tiered scheme has
+      // from row 0's worst_case_row_cost; a tiered scheme has
       // no single such distribution (each tier has its own), so the
-      // closed form would charge every fault at the weakest tier.
+      // closed form would charge every fault at row 0's tier.
       for (std::size_t i = 0; i < recipes.size(); ++i) {
         if (recipes[i].regions.empty()) continue;
         throw spec_error(i < spec.schemes.size()

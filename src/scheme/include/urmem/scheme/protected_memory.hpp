@@ -142,7 +142,9 @@ class protected_memory {
   /// Selects the compiled fast machinery or the reference oracle for
   /// subsequent accesses — switches both the array's fault application
   /// (see sram_array::set_fault_path) and the scheme codec path used by
-  /// write_block/read_block (block-compiled vs per-word reference).
+  /// every access: write/read/decode_word, retire_row and
+  /// write_block/read_block (block-compiled vs per-word
+  /// encode_reference/decode_reference).
   void set_fault_path(fault_path path) { array_.set_fault_path(path); }
 
   /// Encodes and stores a data word.
@@ -150,6 +152,12 @@ class protected_memory {
 
   /// Reads and decodes a data word through the faulty array.
   [[nodiscard]] read_result read(std::uint32_t row) const;
+
+  /// Decodes stored word `stored` of logical `row` on the selected
+  /// path — read() without the array access (the lifecycle layer's raw
+  /// retry decodes its own re-corrupted copy).
+  [[nodiscard]] read_result decode_word(std::uint32_t row,
+                                        word_t stored) const;
 
   /// Decode outcome counters of a batched read_block — the scheme
   /// layer's counters, accumulated over the whole block.
@@ -161,8 +169,8 @@ class protected_memory {
   /// the reference fault path (URMEM_FAULT_PATH=reference or
   /// set_fault_path), encoding drops to the per-word
   /// scheme->encode_reference oracle instead, so the figure benches
-  /// differentially test block-vs-scalar and compiled-vs-reference
-  /// codecs in one switch.
+  /// differentially test the compiled codecs against the oracle in one
+  /// switch.
   void write_block(std::uint32_t first, std::span<const word_t> data);
 
   /// Streams rows [first, first + size) out of the array and decodes
@@ -192,6 +200,9 @@ class protected_memory {
  private:
   /// Physical row serving logical `row` (identity unless remapped).
   [[nodiscard]] std::uint32_t physical_row(std::uint32_t row) const;
+
+  /// One-word encode on the path set_fault_path selected.
+  [[nodiscard]] word_t encode_word(std::uint32_t row, word_t data) const;
 
   std::unique_ptr<protection_scheme> scheme_;
   std::uint32_t logical_rows_;

@@ -7,13 +7,21 @@
 // fault locations (bit-shuffling) are (re)configured through
 // configure(); ECC-based schemes ignore it.
 //
-// Besides the functional encode/decode path, every scheme exposes
-// worst_case_row_cost(): the row's contribution to the analytic MSE
-// criterion of Eq. (6) given the row's physical faulty columns. The
-// yield machinery (Fig. 5) evaluates millions of fault maps through
-// this hook without touching stored data.
+// A new scheme implements five hooks besides its geometry:
+//   * encode_block / decode_block   — the compiled fast path, one
+//     virtual call per tile; single-word encode()/decode() are
+//     one-word block calls;
+//   * encode_reference / decode_reference — the per-word oracle the
+//     fast path is proven bit-identical against (tests, urmem-verify,
+//     URMEM_FAULT_PATH=reference);
+//   * residual_fault_bits(row, cols) — the logical bits a row's faulty
+//     columns leave corrupted after correction. The Eq. (6) row cost
+//     worst_case_row_cost(row, cols) is derived from it as sum 4^b, so
+//     the yield machinery (Fig. 5) evaluates millions of fault maps
+//     through this one hook without touching stored data.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -78,76 +86,54 @@ class protection_scheme {
   /// geometry must cover storage_bits() columns. Default: no-op.
   virtual void configure(const fault_map& faults);
 
-  /// Encodes `data` for storage in `row`.
-  [[nodiscard]] virtual word_t encode(std::uint32_t row, word_t data) const = 0;
-
-  /// Decodes the stored row back to a data word.
-  [[nodiscard]] virtual read_result decode(std::uint32_t row, word_t stored) const = 0;
-
-  /// Batched encode of rows [first_row, first_row + data.size()):
-  /// out[i] = encode(first_row + i, data[i]). One virtual call per tile;
-  /// every concrete scheme overrides it with a devirtualized loop over
-  /// its compiled codec tables. `out` may alias `data` and must match
-  /// its length. The base implementation is the per-word scalar
-  /// fallback (and the semantic definition of the override).
+  /// Batched encode of rows [first_row, first_row + data.size()): a
+  /// devirtualized loop over the scheme's compiled codec tables, one
+  /// virtual call per tile. `out` may alias `data` and must match its
+  /// length. Bit-identical to encode_reference on every row.
   virtual void encode_block(std::uint32_t first_row,
                             std::span<const word_t> data,
-                            std::span<word_t> out) const;
+                            std::span<word_t> out) const = 0;
 
-  /// Batched decode of rows [first_row, first_row + stored.size());
-  /// out[i] = decode(first_row + i, stored[i]).data, with the per-word
-  /// statuses accumulated into the returned counters. `out` may alias
-  /// `stored`.
+  /// Batched decode of rows [first_row, first_row + stored.size()),
+  /// with the per-word statuses accumulated into the returned counters.
+  /// `out` may alias `stored`. Bit-identical (data and statuses) to
+  /// decode_reference on every row.
   virtual block_decode_stats decode_block(std::uint32_t first_row,
                                           std::span<const word_t> stored,
-                                          std::span<word_t> out) const;
+                                          std::span<word_t> out) const = 0;
 
-  /// Reference (oracle) scalar encode/decode: the per-bit codec walks
-  /// the compiled fast paths were derived from. Bit-identical to
-  /// encode()/decode(); protected_memory routes through these when
-  /// URMEM_FAULT_PATH=reference so the figure benches differentially
-  /// test the compiled layer end to end. Defaults alias encode/decode
-  /// for schemes with no separate compiled form.
+  /// Reference (oracle) per-word encode/decode: the per-bit codec walks
+  /// the compiled fast paths were derived from. protected_memory routes
+  /// through these when URMEM_FAULT_PATH=reference so the figure benches
+  /// differentially test the compiled layer end to end.
   [[nodiscard]] virtual word_t encode_reference(std::uint32_t row,
-                                                word_t data) const {
-    return encode(row, data);
-  }
+                                                word_t data) const = 0;
   [[nodiscard]] virtual read_result decode_reference(std::uint32_t row,
-                                                     word_t stored) const {
-    return decode(row, stored);
-  }
+                                                     word_t stored) const = 0;
 
-  /// Worst-case squared error magnitude sum_i (2^{b_i})^2 contributed by
-  /// a row whose faulty *storage* columns are `fault_cols`, assuming
-  /// two's-complement integer data and BIST-optimal configuration
-  /// (Eq. 6; see each scheme for its fault-to-logical-bit mapping).
-  [[nodiscard]] virtual double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const = 0;
+  /// Single-word encode: encode_block over a span of one.
+  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const;
+
+  /// Single-word decode: decode_block over a span of one, the status
+  /// rebuilt from the block counters.
+  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const;
 
   /// Appends the logical bit significances b_i that remain corrupted
-  /// after the scheme's correction, for a row whose faulty storage
-  /// columns are `fault_cols` — the worst-case residual behind Eq. (6):
-  /// worst_case_row_cost(fault_cols) == sum_i 4^{b_i} over exactly
-  /// these bits. Composition layers (stacked_scheme) use this hook to
-  /// feed one stage's surviving corruption into the next stage as that
-  /// stage's fault columns.
-  virtual void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  /// after the scheme's correction, for `row` when its faulty storage
+  /// columns are `fault_cols` — the worst-case residual behind Eq. (6),
+  /// assuming two's-complement integer data and BIST-optimal
+  /// configuration. Homogeneous schemes ignore `row`; tiered_scheme
+  /// charges each row at its own tier. Composition layers
+  /// (stacked_scheme) feed one stage's residual into the next stage as
+  /// that stage's fault columns.
+  virtual void residual_fault_bits(std::uint32_t row,
+                                   std::span<const std::uint32_t> fault_cols,
                                    std::vector<std::uint32_t>& out) const = 0;
 
-  /// Row-addressed variants of the Eq. (6) hooks. Homogeneous schemes
-  /// protect every row identically, so the defaults ignore `row`; the
-  /// heterogeneous tiered_scheme overrides them to charge each row at
-  /// its own tier. The MSE machinery (sample_mse, analytic_mse) walks
-  /// faults row by row anyway and routes through these.
-  [[nodiscard]] virtual double worst_case_row_cost_at(
-      std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols) const {
-    return worst_case_row_cost(fault_cols);
-  }
-  virtual void residual_fault_bits_at(std::uint32_t /*row*/,
-                                      std::span<const std::uint32_t> fault_cols,
-                                      std::vector<std::uint32_t>& out) const {
-    residual_fault_bits(fault_cols, out);
-  }
+  /// Worst-case squared error magnitude sum_i (2^{b_i})^2 of `row` —
+  /// sum 4^b over exactly residual_fault_bits(row, fault_cols) (Eq. 6).
+  [[nodiscard]] double worst_case_row_cost(
+      std::uint32_t row, std::span<const std::uint32_t> fault_cols) const;
 };
 
 /// Pass-through scheme: the unprotected memory of the paper's baselines.
@@ -158,94 +144,37 @@ class none_scheme final : public protection_scheme {
   [[nodiscard]] std::string name() const override { return "no-correction"; }
   [[nodiscard]] unsigned data_bits() const override { return width_; }
   [[nodiscard]] unsigned storage_bits() const override { return width_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
                                   std::span<const word_t> stored,
                                   std::span<word_t> out) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override;
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override;
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
   unsigned width_;
 };
 
-/// Classical SECDED ECC on the whole word — H(39,32) for 32-bit data.
-class secded_scheme final : public protection_scheme {
+/// Whole-word t-error-correcting ECC over one code type: SECDED
+/// H(39,32), Hsiao(39,32) or BCH(45,32,t=2) for 32-bit data. The codec
+/// (whose dense correction table can run to megabytes) is shared
+/// immutably between instances, so per-trial scheme construction
+/// (quality experiments build one per tile) never rebuilds the LUTs.
+template <class Code>
+class ecc_scheme final : public protection_scheme {
  public:
-  explicit secded_scheme(unsigned width = 32);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return code_.data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return code_.codeword_bits(); }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override { return 1; }
-  [[nodiscard]] const hamming_secded& code() const { return code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
-  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
-                    std::span<word_t> out) const override;
-  block_decode_stats decode_block(std::uint32_t first_row,
-                                  std::span<const word_t> stored,
-                                  std::span<word_t> out) const override;
-  [[nodiscard]] word_t encode_reference(std::uint32_t row,
-                                        word_t data) const override;
-  [[nodiscard]] read_result decode_reference(std::uint32_t row,
-                                             word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                           std::vector<std::uint32_t>& out) const override;
-
- private:
-  hamming_secded code_;
-};
-
-/// Hsiao SEC-DED ECC on the whole word — the balanced odd-weight-column
-/// construction real SRAM macros use; Hsiao(39,32) for 32-bit data.
-/// The codec is shared immutably between instances so per-trial scheme
-/// construction (quality experiments build one per tile) never rebuilds
-/// the LUTs.
-class hsiao_scheme final : public protection_scheme {
- public:
-  explicit hsiao_scheme(unsigned width = 32, unsigned check_bits = 0);
-  explicit hsiao_scheme(std::shared_ptr<const hsiao_code> code);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return code_->data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return code_->codeword_bits(); }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override { return 1; }
-  [[nodiscard]] const hsiao_code& code() const { return *code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
-  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
-                    std::span<word_t> out) const override;
-  block_decode_stats decode_block(std::uint32_t first_row,
-                                  std::span<const word_t> stored,
-                                  std::span<word_t> out) const override;
-  [[nodiscard]] word_t encode_reference(std::uint32_t row,
-                                        word_t data) const override;
-  [[nodiscard]] read_result decode_reference(std::uint32_t row,
-                                             word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                           std::vector<std::uint32_t>& out) const override;
-
- private:
-  std::shared_ptr<const hsiao_code> code_;
-};
-
-/// t-error-correcting parity-extended BCH ECC on the whole word —
-/// BCH(45,32,t=2) for 32-bit data. The codec (whose dense correction
-/// table can run to megabytes) is shared immutably between instances.
-class bch_scheme final : public protection_scheme {
- public:
-  explicit bch_scheme(unsigned width = 32, unsigned t = 2);
-  explicit bch_scheme(std::shared_ptr<const bch_code> code);
+  explicit ecc_scheme(std::shared_ptr<const Code> code);
+  /// Builds a private codec from the Code constructor's arguments.
+  template <class... Args>
+    requires std::constructible_from<Code, Args...>
+  explicit ecc_scheme(Args... args)
+      : ecc_scheme(std::make_shared<const Code>(args...)) {}
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] unsigned data_bits() const override { return code_->data_bits(); }
@@ -253,9 +182,7 @@ class bch_scheme final : public protection_scheme {
   [[nodiscard]] unsigned guaranteed_correctable_bits() const override {
     return code_->t();
   }
-  [[nodiscard]] const bch_code& code() const { return *code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
+  [[nodiscard]] const Code& code() const { return *code_; }
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -265,14 +192,25 @@ class bch_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
-  std::shared_ptr<const bch_code> code_;
+  std::shared_ptr<const Code> code_;
 };
+
+extern template class ecc_scheme<hamming_secded>;
+extern template class ecc_scheme<hsiao_code>;
+extern template class ecc_scheme<bch_code>;
+
+/// Classical SECDED ECC on the whole word — H(39,32) for 32-bit data.
+using secded_scheme = ecc_scheme<hamming_secded>;
+/// Hsiao SEC-DED ECC — the balanced odd-weight-column construction real
+/// SRAM macros use; Hsiao(39,32) for 32-bit data.
+using hsiao_scheme = ecc_scheme<hsiao_code>;
+/// Parity-extended t-error-correcting BCH ECC — BCH(45,32,t=2) at 32 bits.
+using bch_scheme = ecc_scheme<bch_code>;
 
 /// Priority-based ECC — H(22,16) over the 16 MSBs for 32-bit data.
 class pecc_scheme final : public protection_scheme {
@@ -283,8 +221,6 @@ class pecc_scheme final : public protection_scheme {
   [[nodiscard]] unsigned data_bits() const override { return codec_.word_bits(); }
   [[nodiscard]] unsigned storage_bits() const override { return codec_.storage_bits(); }
   [[nodiscard]] const priority_ecc& codec() const { return codec_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -294,9 +230,8 @@ class pecc_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
@@ -316,16 +251,17 @@ class shuffle_protection final : public protection_scheme {
   [[nodiscard]] const shuffle_scheme& impl() const { return impl_; }
   [[nodiscard]] shuffle_scheme& impl() { return impl_; }
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
                                   std::span<const word_t> stored,
                                   std::span<word_t> out) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override;
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override;
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:

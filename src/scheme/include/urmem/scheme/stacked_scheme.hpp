@@ -45,9 +45,12 @@ class stacked_scheme final : public protection_scheme {
   [[nodiscard]] unsigned lut_bits_per_row() const override {
     return shuffle_.lut_bits_per_row();
   }
+  /// The ECC stage's guarantee: the shuffle stage never sees a fault the
+  /// ECC corrects.
+  [[nodiscard]] unsigned guaranteed_correctable_bits() const override {
+    return ecc_->guaranteed_correctable_bits();
+  }
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -57,9 +60,8 @@ class stacked_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:

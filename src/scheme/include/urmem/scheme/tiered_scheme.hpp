@@ -55,9 +55,10 @@ class tiered_scheme final : public protection_scheme {
   /// Index of the tier owning `row`.
   [[nodiscard]] std::size_t tier_of(std::uint32_t row) const;
 
+  /// Min over tiers: the guarantee every row of the tile keeps.
+  [[nodiscard]] unsigned guaranteed_correctable_bits() const override;
+
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -67,27 +68,12 @@ class tiered_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-
-  /// Row-agnostic worst case = the most expensive tier for these
-  /// columns (the residual bits are that tier's). Prefer the *_at
-  /// variants, which charge the row's actual tier.
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  /// The residual of `row`'s own tier, over the columns it stores.
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
-  [[nodiscard]] double worst_case_row_cost_at(
-      std::uint32_t row, std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits_at(std::uint32_t row,
-                              std::span<const std::uint32_t> fault_cols,
-                              std::vector<std::uint32_t>& out) const override;
 
  private:
-  /// Columns the tier actually stores (drops the surplus columns a
-  /// wider sibling tier forced onto the array).
-  static std::span<const std::uint32_t> clip_cols(
-      const tier& t, std::span<const std::uint32_t> fault_cols,
-      std::vector<std::uint32_t>& scratch);
-
   std::vector<tier> tiers_;
   unsigned data_bits_ = 0;
   unsigned storage_bits_ = 0;

@@ -187,7 +187,7 @@ std::optional<std::uint32_t> protected_memory::retire_row_to_region(
     // over (but not consumed — a narrower row may still fit it later).
     if ((faults.planes_of_row(physical).fault_cols & mask) != 0) continue;
     spare_used_[physical - logical_rows_] = true;
-    array_.write(physical, scheme_->encode(row, data));
+    array_.write(physical, encode_word(row, data));
     const auto it = std::lower_bound(
         remaps_.begin(), remaps_.end(), row,
         [](const auto& remap, std::uint32_t key) { return remap.first < key; });
@@ -209,12 +209,25 @@ std::uint32_t protected_memory::physical_row(std::uint32_t row) const {
   return it != remaps_.end() && it->first == row ? it->second : row;
 }
 
+word_t protected_memory::encode_word(std::uint32_t row, word_t data) const {
+  return array_.path() == fault_path::reference
+             ? scheme_->encode_reference(row, data)
+             : scheme_->encode(row, data);
+}
+
 void protected_memory::write(std::uint32_t row, word_t data) {
-  array_.write(physical_row(row), scheme_->encode(row, data));
+  array_.write(physical_row(row), encode_word(row, data));
+}
+
+read_result protected_memory::decode_word(std::uint32_t row,
+                                          word_t stored) const {
+  return array_.path() == fault_path::reference
+             ? scheme_->decode_reference(row, stored)
+             : scheme_->decode(row, stored);
 }
 
 read_result protected_memory::read(std::uint32_t row) const {
-  return scheme_->decode(row, array_.read(physical_row(row)));
+  return decode_word(row, array_.read(physical_row(row)));
 }
 
 void protected_memory::write_block(std::uint32_t first,
@@ -312,7 +325,7 @@ double protected_memory::analytic_mse(std::uint32_t first,
     if (row < first || row > last || physical_row(row) != row) continue;
     cols.clear();
     for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    total += scheme_->worst_case_row_cost_at(row, cols);
+    total += scheme_->worst_case_row_cost(row, cols);
   }
   return total / static_cast<double>(last - first + 1);
 }
@@ -329,7 +342,7 @@ std::uint64_t protected_memory::residual_rows() const {
     cols.clear();
     for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
     bits.clear();
-    scheme_->residual_fault_bits_at(row, cols, bits);
+    scheme_->residual_fault_bits(row, cols, bits);
     if (!bits.empty()) ++degraded;
   }
   return degraded;

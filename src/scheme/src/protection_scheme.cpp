@@ -8,58 +8,74 @@ namespace urmem {
 
 namespace {
 
-/// (2^bit)^2 — the squared error magnitude of a flipped two's-complement
-/// integer bit (Eq. 6 uses 2^b regardless of sign; the sign bit's
-/// magnitude is 2^(W-1) by the same convention).
-double squared_bit_error(unsigned bit) {
-  return std::ldexp(1.0, 2 * static_cast<int>(bit));
-}
-
 /// One length check per block call; the per-word loops below stay
 /// contract-free.
 void check_block_spans(std::size_t in, std::size_t out) {
   expects(in == out, "block output span must match the input length");
 }
 
+read_result to_read_result(const ecc_decode_result& r) {
+  return {r.data, r.status};
+}
+
+std::string code_label(const hamming_secded& code) {
+  return "H(" + std::to_string(code.codeword_bits()) + "," +
+         std::to_string(code.data_bits()) + ")";
+}
+
+std::string code_label(const hsiao_code& code) {
+  return "Hsiao(" + std::to_string(code.codeword_bits()) + "," +
+         std::to_string(code.data_bits()) + ")";
+}
+
+std::string code_label(const bch_code& code) {
+  return "BCH(" + std::to_string(code.codeword_bits()) + "," +
+         std::to_string(code.data_bits()) + ",t=" + std::to_string(code.t()) +
+         ")";
+}
+
 }  // namespace
 
 void protection_scheme::configure(const fault_map& /*faults*/) {}
 
-void protection_scheme::encode_block(std::uint32_t first_row,
-                                     std::span<const word_t> data,
-                                     std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out[i] = encode(first_row + static_cast<std::uint32_t>(i), data[i]);
-  }
+word_t protection_scheme::encode(std::uint32_t row, word_t data) const {
+  word_t stored = 0;
+  encode_block(row, {&data, 1}, {&stored, 1});
+  return stored;
 }
 
-block_decode_stats protection_scheme::decode_block(std::uint32_t first_row,
-                                                   std::span<const word_t> stored,
-                                                   std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const read_result r =
-        decode(first_row + static_cast<std::uint32_t>(i), stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
+read_result protection_scheme::decode(std::uint32_t row, word_t stored) const {
+  read_result r;
+  const block_decode_stats stats =
+      decode_block(row, {&stored, 1}, {&r.data, 1});
+  if (stats.uncorrectable != 0) {
+    r.status = ecc_status::detected_uncorrectable;
+  } else if (stats.corrected != 0) {
+    r.status = ecc_status::corrected;
   }
-  return stats;
+  return r;
+}
+
+double protection_scheme::worst_case_row_cost(
+    std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
+  // Thread-local scratch: the yield sweeps call this once per faulty row
+  // of millions of sampled maps, from every campaign worker at once.
+  static thread_local std::vector<std::uint32_t> bits;
+  bits.clear();
+  residual_fault_bits(row, fault_cols, bits);
+  double cost = 0.0;
+  for (const std::uint32_t bit : bits) {
+    // (2^b)^2: Eq. 6 uses 2^b regardless of sign; the sign bit's
+    // magnitude is 2^(W-1) by the same convention.
+    cost += std::ldexp(1.0, 2 * static_cast<int>(bit));
+  }
+  return cost;
 }
 
 // ---------------------------------------------------------------- none
 
 none_scheme::none_scheme(unsigned width) : width_(width) {
   expects(is_valid_width(width), "word width must be 1..64");
-}
-
-word_t none_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return data & word_mask(width_);
-}
-
-read_result none_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  return {stored & word_mask(width_), ecc_status::clean};
 }
 
 void none_scheme::encode_block(std::uint32_t /*first_row*/,
@@ -79,128 +95,51 @@ block_decode_stats none_scheme::decode_block(std::uint32_t /*first_row*/,
   return {};
 }
 
-double none_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) cost += squared_bit_error(col);
-  return cost;
+word_t none_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
+  return data & word_mask(width_);
 }
 
-void none_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+read_result none_scheme::decode_reference(std::uint32_t /*row*/,
+                                          word_t stored) const {
+  return {stored & word_mask(width_), ecc_status::clean};
+}
+
+void none_scheme::residual_fault_bits(std::uint32_t /*row*/,
+                                      std::span<const std::uint32_t> fault_cols,
                                       std::vector<std::uint32_t>& out) const {
   out.insert(out.end(), fault_cols.begin(), fault_cols.end());
 }
 
-// -------------------------------------------------------------- secded
+// ----------------------------------------------- secded / hsiao / bch
 
-secded_scheme::secded_scheme(unsigned width) : code_(width) {}
-
-std::string secded_scheme::name() const {
-  return "H(" + std::to_string(code_.codeword_bits()) + "," +
-         std::to_string(code_.data_bits()) + ") ECC";
+template <class Code>
+ecc_scheme<Code>::ecc_scheme(std::shared_ptr<const Code> code)
+    : code_(std::move(code)) {
+  expects(code_ != nullptr, "ecc_scheme needs a codec");
 }
 
-word_t secded_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_.encode(data);
+template <class Code>
+std::string ecc_scheme<Code>::name() const {
+  return code_label(*code_) + " ECC";
 }
 
-read_result secded_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_.decode(stored);
-  return {r.data, r.status};
-}
-
-void secded_scheme::encode_block(std::uint32_t /*first_row*/,
-                                 std::span<const word_t> data,
-                                 std::span<word_t> out) const {
+template <class Code>
+void ecc_scheme<Code>::encode_block(std::uint32_t /*first_row*/,
+                                    std::span<const word_t> data,
+                                    std::span<word_t> out) const {
   check_block_spans(data.size(), out.size());
-  // code_.encode inlines to a few table lookups + XORs per word — the
+  // code.encode inlines to a few table lookups + XORs per word — the
   // whole tile encodes without a call, branch, or per-bit loop.
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code_.encode(data[i]);
-}
-
-block_decode_stats secded_scheme::decode_block(std::uint32_t /*first_row*/,
-                                               std::span<const word_t> stored,
-                                               std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = code_.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
-}
-
-word_t secded_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
-  return code_.encode_reference(data);
-}
-
-read_result secded_scheme::decode_reference(std::uint32_t /*row*/,
-                                            word_t stored) const {
-  const ecc_decode_result r = code_.decode_reference(stored);
-  return {r.data, r.status};
-}
-
-double secded_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.size() <= 1) return 0.0;  // single error always corrected
-  // Multiple faults: detected but uncorrectable — the decoder hands the
-  // raw data bits through, so every faulty *data* column corrupts its
-  // logical bit. Check-column faults do not touch data bits.
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_.data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void secded_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                        std::vector<std::uint32_t>& out) const {
-  if (fault_cols.size() <= 1) return;  // single error always corrected
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_.data_bit_at_column(col);
-    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
-  }
-}
-
-// --------------------------------------------------------------- hsiao
-
-hsiao_scheme::hsiao_scheme(unsigned width, unsigned check_bits)
-    : code_(std::make_shared<const hsiao_code>(width, check_bits)) {}
-
-hsiao_scheme::hsiao_scheme(std::shared_ptr<const hsiao_code> code)
-    : code_(std::move(code)) {
-  expects(code_ != nullptr, "hsiao_scheme needs a codec");
-}
-
-std::string hsiao_scheme::name() const {
-  return "Hsiao(" + std::to_string(code_->codeword_bits()) + "," +
-         std::to_string(code_->data_bits()) + ") ECC";
-}
-
-word_t hsiao_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_->encode(data);
-}
-
-read_result hsiao_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_->decode(stored);
-  return {r.data, r.status};
-}
-
-void hsiao_scheme::encode_block(std::uint32_t /*first_row*/,
-                                std::span<const word_t> data,
-                                std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  const hsiao_code& code = *code_;
+  const Code& code = *code_;
   for (std::size_t i = 0; i < data.size(); ++i) out[i] = code.encode(data[i]);
 }
 
-block_decode_stats hsiao_scheme::decode_block(std::uint32_t /*first_row*/,
-                                              std::span<const word_t> stored,
-                                              std::span<word_t> out) const {
+template <class Code>
+block_decode_stats ecc_scheme<Code>::decode_block(
+    std::uint32_t /*first_row*/, std::span<const word_t> stored,
+    std::span<word_t> out) const {
   check_block_spans(stored.size(), out.size());
-  const hsiao_code& code = *code_;
+  const Code& code = *code_;
   block_decode_stats stats;
   for (std::size_t i = 0; i < stored.size(); ++i) {
     const ecc_decode_result r = code.decode(stored[i]);
@@ -210,113 +149,28 @@ block_decode_stats hsiao_scheme::decode_block(std::uint32_t /*first_row*/,
   return stats;
 }
 
-word_t hsiao_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
+template <class Code>
+word_t ecc_scheme<Code>::encode_reference(std::uint32_t /*row*/,
+                                          word_t data) const {
   return code_->encode_reference(data);
 }
 
-read_result hsiao_scheme::decode_reference(std::uint32_t /*row*/,
-                                           word_t stored) const {
-  const ecc_decode_result r = code_->decode_reference(stored);
-  return {r.data, r.status};
+template <class Code>
+read_result ecc_scheme<Code>::decode_reference(std::uint32_t /*row*/,
+                                               word_t stored) const {
+  return to_read_result(code_->decode_reference(stored));
 }
 
-double hsiao_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.size() <= 1) return 0.0;  // single error always corrected
-  // Multiple faults: detected but uncorrectable — the decoder hands the
-  // raw data bits through, so every faulty *data* column corrupts its
-  // logical bit (the identity layout makes bit == column).
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void hsiao_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                       std::vector<std::uint32_t>& out) const {
-  if (fault_cols.size() <= 1) return;  // single error always corrected
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
-  }
-}
-
-// ----------------------------------------------------------------- bch
-
-bch_scheme::bch_scheme(unsigned width, unsigned t)
-    : code_(std::make_shared<const bch_code>(width, t)) {}
-
-bch_scheme::bch_scheme(std::shared_ptr<const bch_code> code)
-    : code_(std::move(code)) {
-  expects(code_ != nullptr, "bch_scheme needs a codec");
-}
-
-std::string bch_scheme::name() const {
-  return "BCH(" + std::to_string(code_->codeword_bits()) + "," +
-         std::to_string(code_->data_bits()) + ",t=" +
-         std::to_string(code_->t()) + ") ECC";
-}
-
-word_t bch_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_->encode(data);
-}
-
-read_result bch_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_->decode(stored);
-  return {r.data, r.status};
-}
-
-void bch_scheme::encode_block(std::uint32_t /*first_row*/,
-                              std::span<const word_t> data,
-                              std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  const bch_code& code = *code_;
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code.encode(data[i]);
-}
-
-block_decode_stats bch_scheme::decode_block(std::uint32_t /*first_row*/,
-                                            std::span<const word_t> stored,
-                                            std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  const bch_code& code = *code_;
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = code.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
-}
-
-word_t bch_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
-  return code_->encode_reference(data);
-}
-
-read_result bch_scheme::decode_reference(std::uint32_t /*row*/,
-                                         word_t stored) const {
-  const ecc_decode_result r = code_->decode_reference(stored);
-  return {r.data, r.status};
-}
-
-double bch_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
+template <class Code>
+void ecc_scheme<Code>::residual_fault_bits(
+    std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols,
+    std::vector<std::uint32_t>& out) const {
   // Up to t faults are corrected wherever they land. Beyond that the
-  // parity extension guarantees detection (never miscorrection) at
-  // t+1 faults, so the raw-pass-through model below is *exact* there —
-  // urmem-verify proves this by enumeration.
-  if (fault_cols.size() <= code_->t()) return 0.0;
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void bch_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                     std::vector<std::uint32_t>& out) const {
+  // decoder hands the raw data bits through, so every faulty *data*
+  // column corrupts its logical bit; check-column faults touch none.
+  // Each code has distance 2t+2, so t+1 faults are always detected,
+  // never miscorrected: the model is *exact* there — urmem-verify
+  // proves this by enumeration.
   if (fault_cols.size() <= code_->t()) return;
   for (const std::uint32_t col : fault_cols) {
     const int bit = code_->data_bit_at_column(col);
@@ -324,24 +178,17 @@ void bch_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
   }
 }
 
+template class ecc_scheme<hamming_secded>;
+template class ecc_scheme<hsiao_code>;
+template class ecc_scheme<bch_code>;
+
 // ---------------------------------------------------------------- pecc
 
 pecc_scheme::pecc_scheme(unsigned width, unsigned protected_bits)
     : codec_(width, protected_bits) {}
 
 std::string pecc_scheme::name() const {
-  const auto& inner = codec_.inner_code();
-  return "H(" + std::to_string(inner.codeword_bits()) + "," +
-         std::to_string(inner.data_bits()) + ") P-ECC";
-}
-
-word_t pecc_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return codec_.encode(data);
-}
-
-read_result pecc_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = codec_.decode(stored);
-  return {r.data, r.status};
+  return code_label(codec_.inner_code()) + " P-ECC";
 }
 
 void pecc_scheme::encode_block(std::uint32_t /*first_row*/,
@@ -370,31 +217,11 @@ word_t pecc_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
 
 read_result pecc_scheme::decode_reference(std::uint32_t /*row*/,
                                           word_t stored) const {
-  const ecc_decode_result r = codec_.decode_reference(stored);
-  return {r.data, r.status};
+  return to_read_result(codec_.decode_reference(stored));
 }
 
-double pecc_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  double cost = 0.0;
-  std::size_t protected_faults = 0;
-  for (const std::uint32_t col : fault_cols) {
-    if (codec_.is_protected_column(col)) ++protected_faults;
-  }
-  for (const std::uint32_t col : fault_cols) {
-    if (codec_.is_protected_column(col)) {
-      if (protected_faults <= 1) continue;  // corrected by the inner code
-      const int bit = codec_.data_bit_at_column(col);
-      if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-    } else {
-      // Unprotected low-order bit: error magnitude 2^col, col < u.
-      cost += squared_bit_error(col);
-    }
-  }
-  return cost;
-}
-
-void pecc_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+void pecc_scheme::residual_fault_bits(std::uint32_t /*row*/,
+                                      std::span<const std::uint32_t> fault_cols,
                                       std::vector<std::uint32_t>& out) const {
   std::size_t protected_faults = 0;
   for (const std::uint32_t col : fault_cols) {
@@ -406,7 +233,7 @@ void pecc_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
       const int bit = codec_.data_bit_at_column(col);
       if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
     } else {
-      out.push_back(col);
+      out.push_back(col);  // unprotected low-order bit: col < u
     }
   }
 }
@@ -423,14 +250,6 @@ std::string shuffle_protection::name() const {
 
 void shuffle_protection::configure(const fault_map& faults) { impl_.program(faults); }
 
-word_t shuffle_protection::encode(std::uint32_t row, word_t data) const {
-  return impl_.apply_write(row, data);
-}
-
-read_result shuffle_protection::decode(std::uint32_t row, word_t stored) const {
-  return {impl_.restore_read(row, stored), ecc_status::clean};
-}
-
 void shuffle_protection::encode_block(std::uint32_t first_row,
                                       std::span<const word_t> data,
                                       std::span<word_t> out) const {
@@ -444,15 +263,18 @@ block_decode_stats shuffle_protection::decode_block(std::uint32_t first_row,
   return {};  // shuffling neither corrects nor detects — always clean
 }
 
-double shuffle_protection::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.empty()) return 0.0;
-  const unsigned xfm = choose_xfm(impl_.shuffler(), fault_cols, policy_);
-  return shift_cost(impl_.shuffler(), fault_cols, xfm);
+word_t shuffle_protection::encode_reference(std::uint32_t row,
+                                            word_t data) const {
+  return impl_.apply_write(row, data);
+}
+
+read_result shuffle_protection::decode_reference(std::uint32_t row,
+                                                 word_t stored) const {
+  return {impl_.restore_read(row, stored), ecc_status::clean};
 }
 
 void shuffle_protection::residual_fault_bits(
-    std::span<const std::uint32_t> fault_cols,
+    std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols,
     std::vector<std::uint32_t>& out) const {
   if (fault_cols.empty()) return;
   const unsigned xfm = choose_xfm(impl_.shuffler(), fault_cols, policy_);

@@ -44,6 +44,14 @@ unsigned tiered_scheme::lut_bits_per_row() const {
   return bits;
 }
 
+unsigned tiered_scheme::guaranteed_correctable_bits() const {
+  unsigned bits = tiers_.front().scheme->guaranteed_correctable_bits();
+  for (const tier& t : tiers_) {
+    bits = std::min(bits, t.scheme->guaranteed_correctable_bits());
+  }
+  return bits;
+}
+
 std::size_t tiered_scheme::tier_of(std::uint32_t row) const {
   expects(row <= tiers_.back().last_row, "row beyond the tiered range");
   for (std::size_t i = 0; i < tiers_.size(); ++i) {
@@ -74,17 +82,6 @@ void tiered_scheme::configure(const fault_map& faults) {
     }
     t.scheme->configure(sub);
   }
-}
-
-word_t tiered_scheme::encode(std::uint32_t row, word_t data) const {
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->encode(row - t.first_row, data);
-}
-
-read_result tiered_scheme::decode(std::uint32_t row, word_t stored) const {
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->decode(row - t.first_row,
-                          stored & word_mask(t.scheme->storage_bits()));
 }
 
 void tiered_scheme::encode_block(std::uint32_t first_row,
@@ -141,63 +138,18 @@ read_result tiered_scheme::decode_reference(std::uint32_t row,
                                     stored & word_mask(t.scheme->storage_bits()));
 }
 
-std::span<const std::uint32_t> tiered_scheme::clip_cols(
-    const tier& t, std::span<const std::uint32_t> fault_cols,
-    std::vector<std::uint32_t>& scratch) {
-  const unsigned bits = t.scheme->storage_bits();
-  const bool all_inside = std::all_of(fault_cols.begin(), fault_cols.end(),
-                                      [&](std::uint32_t c) { return c < bits; });
-  if (all_inside) return fault_cols;
-  scratch.clear();
-  for (const std::uint32_t col : fault_cols) {
-    if (col < bits) scratch.push_back(col);
-  }
-  return scratch;
-}
-
-double tiered_scheme::worst_case_row_cost_at(
-    std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
-  static thread_local std::vector<std::uint32_t> scratch;
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch));
-}
-
-void tiered_scheme::residual_fault_bits_at(
+void tiered_scheme::residual_fault_bits(
     std::uint32_t row, std::span<const std::uint32_t> fault_cols,
     std::vector<std::uint32_t>& out) const {
-  static thread_local std::vector<std::uint32_t> scratch;
+  // Columns beyond the tier's own storage width belong to a wider
+  // sibling tier's geometry and never carry this tier's data.
+  static thread_local std::vector<std::uint32_t> clipped;
   const tier& t = tiers_[tier_of(row)];
-  t.scheme->residual_fault_bits(clip_cols(t, fault_cols, scratch), out);
-}
-
-double tiered_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  static thread_local std::vector<std::uint32_t> scratch;
-  double worst = 0.0;
-  for (const tier& t : tiers_) {
-    worst = std::max(
-        worst, t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch)));
+  clipped.clear();
+  for (const std::uint32_t col : fault_cols) {
+    if (col < t.scheme->storage_bits()) clipped.push_back(col);
   }
-  return worst;
-}
-
-void tiered_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                        std::vector<std::uint32_t>& out) const {
-  // Mirror worst_case_row_cost: report the residual of the worst tier,
-  // so cost == sum_i 4^{b_i} over the returned bits holds here too.
-  static thread_local std::vector<std::uint32_t> scratch;
-  const tier* worst_tier = &tiers_.front();
-  double worst = -1.0;
-  for (const tier& t : tiers_) {
-    const double cost =
-        t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch));
-    if (cost > worst) {
-      worst = cost;
-      worst_tier = &t;
-    }
-  }
-  worst_tier->scheme->residual_fault_bits(
-      clip_cols(*worst_tier, fault_cols, scratch), out);
+  t.scheme->residual_fault_bits(row - t.first_row, clipped, out);
 }
 
 }  // namespace urmem

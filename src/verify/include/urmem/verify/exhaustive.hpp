@@ -5,17 +5,17 @@
 // guaranteed correction strength plus one) and prove, pattern by
 // pattern, the properties the rest of the repo merely samples:
 //
-//   * block == scalar == reference bit-identity, data and status, for
-//     encode and decode;
+//   * block == reference bit-identity, data and status, for encode and
+//     decode (single-word encode/decode are one-word block calls);
 //   * corrected / detected_uncorrectable classification: <= t-bit
 //     patterns decode back to the written data, (t+1)-bit patterns are
 //     flagged and never miscorrected (for schemes advertising a
 //     guarantee via guaranteed_correctable_bits());
 //   * the analytic residual model is *exact*: decoded ^ data equals the
-//     bit set residual_fault_bits() predicts for every enumerated data
-//     word, and worst_case_row_cost()/worst_case_row_cost_at() equal
-//     sum 4^b over exactly those bits — so analytic_mse matches the
-//     enumerated truth, not just an upper bound.
+//     bit set residual_fault_bits(row) predicts for every row and every
+//     enumerated data word — and worst_case_row_cost(row) is sum 4^b
+//     over exactly those bits, so analytic_mse matches the enumerated
+//     truth, not just an upper bound.
 //
 // Patterns are enumerated by unranking trial indices through the
 // combinatorial number system (the mat_ecc_ram-style nCr walk), which

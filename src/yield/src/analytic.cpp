@@ -19,7 +19,9 @@ std::vector<std::pair<double, double>> single_fault_cost_distribution(
   std::map<double, double> merged;
   for (unsigned col = 0; col < columns; ++col) {
     const std::uint32_t cols[] = {col};
-    merged[scheme.worst_case_row_cost(cols)] += p;
+    // Row 0 stands for every row: the convolution assumes a homogeneous
+    // scheme (fig5-mse rejects tiered schemes before getting here).
+    merged[scheme.worst_case_row_cost(0, cols)] += p;
   }
   return {merged.begin(), merged.end()};
 }

@@ -75,13 +75,15 @@ scheme_factory registry_factory(const std::string& spec, unsigned width,
   return scheme_registry::instance().make(ref, geometry).factory;
 }
 
-/// The full CI matrix: every built-in leaf scheme at every narrow
-/// width, each enumerated to one bit past its correction guarantee.
+/// The full CI matrix: every built-in leaf scheme plus the stacked and
+/// tiered compositions at every narrow width, each enumerated to one
+/// bit past its correction guarantee.
 TEST(ExhaustiveVerify, AllSchemesAllNarrowWidths) {
   campaign_runner pool({.threads = 4, .seed = 42});
   const std::vector<std::string> schemes = {
-      "none",    "secded", "hsiao",         "bch:t=1",
-      "bch:t=2", "pecc",   "shuffle:nfm=1", "shuffle:nfm=2"};
+      "none",           "secded",       "hsiao",         "bch:t=1",
+      "bch:t=2",        "pecc",         "shuffle:nfm=1", "shuffle:nfm=2",
+      "shuffle+secded", "shuffle+pecc", "tiered:0-3=secded:4-7=shuffle"};
   for (const unsigned width : {4u, 8u, 16u}) {
     for (const std::string& spec : schemes) {
       const std::string label = spec + " @ w=" + std::to_string(width);
@@ -118,8 +120,8 @@ TEST(ExhaustiveVerify, ThreadCountInvariant) {
   EXPECT_EQ(a.uncorrectable, b.uncorrectable);
 }
 
-/// Delegating wrapper that corrupts one decode path: the harness must
-/// flag it, otherwise the suite proves nothing.
+/// Delegating wrapper whose block decode diverges from its reference
+/// decode: the harness must flag it, otherwise the suite proves nothing.
 class sabotaged_scheme final : public protection_scheme {
  public:
   explicit sabotaged_scheme(std::unique_ptr<protection_scheme> inner)
@@ -138,12 +140,9 @@ class sabotaged_scheme final : public protection_scheme {
   void configure(const fault_map& faults) override {
     inner_->configure(faults);
   }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override {
-    return inner_->encode(row, data);
-  }
-  [[nodiscard]] read_result decode(std::uint32_t row,
-                                   word_t stored) const override {
-    return inner_->decode(row, stored);
+  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
+                    std::span<word_t> out) const override {
+    inner_->encode_block(first_row, data, out);
   }
   block_decode_stats decode_block(std::uint32_t first_row,
                                   std::span<const word_t> stored,
@@ -153,13 +152,18 @@ class sabotaged_scheme final : public protection_scheme {
     if (!out.empty()) out[0] ^= 1;  // the sabotage
     return stats;
   }
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override {
-    return inner_->worst_case_row_cost(fault_cols);
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override {
+    return inner_->encode_reference(row, data);
   }
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override {
+    return inner_->decode_reference(row, stored);
+  }
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override {
-    inner_->residual_fault_bits(fault_cols, out);
+    inner_->residual_fault_bits(row, fault_cols, out);
   }
 
  private:

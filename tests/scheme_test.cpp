@@ -112,22 +112,69 @@ TEST(ProtectedMemoryTest, ShuffleReconfiguresOnFaultMapInstall) {
   EXPECT_LE(memory.analytic_mse(), 1.0);
 }
 
+/// Unprotected storage whose compiled fast path is sabotaged (encode
+/// flips bit 0, decode flips bit 1) while its reference pair is exact.
+class sabotaged_fast_path final : public protection_scheme {
+ public:
+  [[nodiscard]] std::string name() const override { return "sabotaged"; }
+  [[nodiscard]] unsigned data_bits() const override { return 32; }
+  [[nodiscard]] unsigned storage_bits() const override { return 32; }
+  void encode_block(std::uint32_t /*first_row*/, std::span<const word_t> data,
+                    std::span<word_t> out) const override {
+    for (std::size_t i = 0; i < data.size(); ++i) out[i] = data[i] ^ 1;
+  }
+  block_decode_stats decode_block(std::uint32_t /*first_row*/,
+                                  std::span<const word_t> stored,
+                                  std::span<word_t> out) const override {
+    for (std::size_t i = 0; i < stored.size(); ++i) out[i] = stored[i] ^ 2;
+    return {};
+  }
+  [[nodiscard]] word_t encode_reference(std::uint32_t /*row*/,
+                                        word_t data) const override {
+    return data;
+  }
+  [[nodiscard]] read_result decode_reference(std::uint32_t /*row*/,
+                                             word_t stored) const override {
+    return {stored, ecc_status::clean};
+  }
+  void residual_fault_bits(std::uint32_t /*row*/,
+                           std::span<const std::uint32_t> fault_cols,
+                           std::vector<std::uint32_t>& out) const override {
+    out.insert(out.end(), fault_cols.begin(), fault_cols.end());
+  }
+};
+
+TEST(ProtectedMemoryTest, SingleWordAccessHonoursReferencePath) {
+  const word_t data = 0xC0FFEE00u;
+  protected_memory compiled(4, std::make_unique<sabotaged_fast_path>(), 1);
+  compiled.write(2, data);
+  EXPECT_EQ(compiled.read(2).data, data ^ 3);  // the sabotage is live
+
+  protected_memory reference(4, std::make_unique<sabotaged_fast_path>(), 1);
+  reference.set_fault_path(fault_path::reference);
+  reference.write(2, data);
+  EXPECT_EQ(reference.read(2).data, data);
+  // Retirement re-encodes onto the spare through the same path choice.
+  ASSERT_TRUE(reference.retire_row(2, data + 1).has_value());
+  EXPECT_EQ(reference.read(2).data, data + 1);
+}
+
 // ---------------------------------------------------------------------
 // Eq. (6) worst-case row costs
 
 TEST(RowCostTest, NoneSumsSquaredMagnitudes) {
   const auto scheme = make_scheme_none();
   const std::uint32_t cols[] = {0, 10, 31};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(cols),
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, cols),
                    1.0 + std::ldexp(1.0, 20) + std::ldexp(1.0, 62));
 }
 
 TEST(RowCostTest, SecdedZeroForSingleNonzeroForDouble) {
   const auto scheme = make_scheme_secded();
   const std::uint32_t one[] = {20};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(one), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, one), 0.0);
   const std::uint32_t two[] = {3, 20};  // both data columns
-  EXPECT_GT(scheme->worst_case_row_cost(two), 0.0);
+  EXPECT_GT(scheme->worst_case_row_cost(0, two), 0.0);
 }
 
 TEST(RowCostTest, SecdedCheckColumnsAreFree) {
@@ -135,17 +182,17 @@ TEST(RowCostTest, SecdedCheckColumnsAreFree) {
   // Columns 0,1,2,4 are check columns of H(39,32): even two faults
   // there leave the data bits untouched.
   const std::uint32_t checks[] = {0, 1};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(checks), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, checks), 0.0);
 }
 
 TEST(RowCostTest, PeccSplitsRegions) {
   const auto scheme = make_scheme_pecc();
   const std::uint32_t lsb[] = {5};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(lsb), std::ldexp(1.0, 10));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, lsb), std::ldexp(1.0, 10));
   const std::uint32_t msb_single[] = {25};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(msb_single), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, msb_single), 0.0);
   const std::uint32_t mixed[] = {5, 25};  // LSB exposed, MSB corrected
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(mixed), std::ldexp(1.0, 10));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, mixed), std::ldexp(1.0, 10));
 }
 
 TEST(RowCostTest, PeccDoubleMsbFaultIsExpensive) {
@@ -157,7 +204,7 @@ TEST(RowCostTest, PeccDoubleMsbFaultIsExpensive) {
     if (codec.data_bit_at_column(col) >= 16) cols.push_back(col);
   }
   ASSERT_EQ(cols.size(), 2u);
-  EXPECT_GE(scheme->worst_case_row_cost(cols), std::ldexp(1.0, 32));
+  EXPECT_GE(scheme->worst_case_row_cost(0, cols), std::ldexp(1.0, 32));
 }
 
 TEST(RowCostTest, ShuffleBoundedBySegmentSize) {
@@ -166,7 +213,7 @@ TEST(RowCostTest, ShuffleBoundedBySegmentSize) {
     const unsigned segment = 32u >> n_fm;
     for (std::uint32_t col = 0; col < 32; ++col) {
       const std::uint32_t cols[] = {col};
-      EXPECT_LE(scheme->worst_case_row_cost(cols),
+      EXPECT_LE(scheme->worst_case_row_cost(0, cols),
                 std::ldexp(1.0, 2 * static_cast<int>(segment - 1)) + 1e-9);
     }
   }
@@ -176,9 +223,10 @@ TEST(RowCostTest, SchemeOrderingUnderSingleFault) {
   // For a single MSB fault: ECC = 0 <= shuffle(nFM=5) = 1 << pecc-LSB
   // cases << none.
   const std::uint32_t msb[] = {31};
-  EXPECT_DOUBLE_EQ(make_scheme_secded()->worst_case_row_cost(msb), 0.0);
-  EXPECT_DOUBLE_EQ(make_scheme_shuffle(4, 32, 5)->worst_case_row_cost(msb), 1.0);
-  EXPECT_DOUBLE_EQ(make_scheme_none()->worst_case_row_cost(msb),
+  EXPECT_DOUBLE_EQ(make_scheme_secded()->worst_case_row_cost(0, msb), 0.0);
+  EXPECT_DOUBLE_EQ(make_scheme_shuffle(4, 32, 5)->worst_case_row_cost(0, msb),
+                   1.0);
+  EXPECT_DOUBLE_EQ(make_scheme_none()->worst_case_row_cost(0, msb),
                    std::ldexp(1.0, 62));
 }
 

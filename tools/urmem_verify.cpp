@@ -4,12 +4,11 @@
 // patterns over the data+check columns (k up to the scheme's
 // correction guarantee plus one, or --max-bits) and proves:
 //
-//   * block == scalar == reference bit-identity on encode and decode;
+//   * block == reference bit-identity on encode and decode;
 //   * every <= t-bit pattern is corrected, every (t+1)-bit pattern is
 //     flagged detected_uncorrectable (t = guaranteed_correctable_bits);
-//   * the analytic residual model (residual_fault_bits /
-//     worst_case_row_cost) equals the enumerated truth exactly, for
-//     every enumerated data word.
+//   * the analytic residual model (residual_fault_bits, per row) equals
+//     the enumerated truth exactly, for every enumerated data word.
 //
 // Schemes are resolved through the scenario scheme registry, so the
 // compact "name:key=value" spec strings verify the very recipes
@@ -45,14 +44,15 @@ constexpr std::string_view usage =
     "\n"
     "  Exhaustively enumerates all k-bit fault patterns (k up to the\n"
     "  scheme's correction guarantee + 1) for every scheme x width and\n"
-    "  proves correction/detection classification, block==scalar==\n"
-    "  reference bit-identity, and exactness of the analytic residual\n"
-    "  model against the enumerated truth.\n"
+    "  proves correction/detection classification, block==reference\n"
+    "  bit-identity, and exactness of the analytic residual model\n"
+    "  against the enumerated truth.\n"
     "\n"
     "flags:\n"
     "  --schemes=a,b,...  compact scheme specs (registry grammar);\n"
     "                     default: none,secded,hsiao,bch:t=1,bch:t=2,\n"
-    "                     pecc,shuffle:nfm=1,shuffle:nfm=2\n"
+    "                     pecc,shuffle:nfm=1,shuffle:nfm=2,shuffle+secded,\n"
+    "                     shuffle+pecc,tiered:0-3=secded:4-7=shuffle\n"
     "  --widths=4,8,16    data widths to verify (default 4,8,16)\n"
     "  --max-bits=K       override pattern weight ceiling (default 0 =\n"
     "                     per-scheme guarantee + 1, floored at 2)\n"
@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
   using urmem::scheme_registry;
 
   std::vector<std::string> schemes = {
-      "none",          "secded",        "hsiao",        "bch:t=1",
-      "bch:t=2",       "pecc",          "shuffle:nfm=1", "shuffle:nfm=2"};
+      "none",           "secded",        "hsiao",        "bch:t=1",
+      "bch:t=2",        "pecc",          "shuffle:nfm=1", "shuffle:nfm=2",
+      "shuffle+secded", "shuffle+pecc",  "tiered:0-3=secded:4-7=shuffle"};
   std::vector<unsigned> widths = {4, 8, 16};
   exhaustive_config config;
   campaign_config pool_config;
