@@ -1,7 +1,8 @@
 // Micro-benchmarks of the memory substrate hot loop: the compiled
 // fault-plane fast path (per-word and batched row ops) measured against
-// the per-cell reference oracle on a dense fault map, plus fault
-// sampling and the Eq. 6 MSE kernel Fig. 5's Monte Carlo leans on.
+// the per-fault reference oracle on a dense fault map, plus fault
+// sampling, installing a map on an array, and the Eq. 6 MSE kernel
+// Fig. 5's Monte Carlo leans on.
 //
 // Before timing anything the bench proves the two paths bit-identical
 // on randomized write/read sequences (exits nonzero on mismatch), so
@@ -79,7 +80,7 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const bench::arg_parser args(argc, argv);
-  bench::banner("micro_memory — fault-plane fast path vs per-cell oracle",
+  bench::banner("micro_memory — fault-plane fast path vs per-fault oracle",
                 "hot loop of the Fig. 5 / Fig. 7 Monte-Carlo campaigns");
 
   const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
@@ -179,12 +180,31 @@ int main(int argc, char** argv) {
         },
         min_ms));
   }
+  {
+    // Installing a fresh map on an existing array (the per-tile
+    // set_faults step): alternating two maps makes every install clear
+    // the previous map's rows before compiling its own.
+    const array_geometry tile{4096, 32};
+    rng install_gen(seed + 17);
+    const fault_map maps[] = {sample_fault_map_exact(tile, 150, install_gen),
+                              sample_fault_map_exact(tile, 150, install_gen)};
+    sram_array target(maps[0]);
+    std::size_t next = 1;
+    results.push_back(bench::run_micro(
+        "set_faults 4096x32 n=150", 1,
+        [&] {
+          target.set_faults(maps[next]);
+          next ^= 1;
+          bench::keep(target.plane().fault_count());
+        },
+        min_ms));
+  }
 
   bench::print_micro_table(results);
 
   const double speedup_read = results[0].ns_per_item / results[2].ns_per_item;
   const double speedup_write = results[3].ns_per_item / results[4].ns_per_item;
-  std::cout << "\nfast-path speedup vs per-cell oracle: read "
+  std::cout << "\nfast-path speedup vs per-fault oracle: read "
             << speedup_read << "x, write " << speedup_write << "x\n";
 
   bench::json_object payload = bench::bench_envelope("micro_memory");

@@ -91,6 +91,8 @@ class fault_timeline {
   fault_timeline(array_geometry geometry, timeline_config config);
 
   [[nodiscard]] bool cell_occupied(std::uint32_t row, std::uint32_t col) const;
+  /// Inserts `record` into intermittent_, keeping it sorted.
+  void add_intermittent(const timeline_fault& record);
   [[nodiscard]] bool intermittent_active(std::uint64_t cell_index,
                                          std::uint32_t epoch,
                                          std::uint32_t attempt) const;
@@ -102,13 +104,12 @@ class fault_timeline {
   rng arrivals_gen_;
   std::uint64_t activity_seed_ = 0;
   /// Persistent faults (insertion order); membership lives in
-  /// persistent_map_ for O(1) occupied-cell checks.
+  /// persistent_map_ for O(log N) occupied-cell checks.
   std::vector<timeline_fault> persistent_;
   fault_map persistent_map_;
-  /// Intermittent cells, ascending (row, col); membership (any epoch)
-  /// mirrored in intermittent_map_.
+  /// Intermittent cells, kept ascending (row, col) so occupied-cell
+  /// checks binary-search them.
   std::vector<timeline_fault> intermittent_;
-  fault_map intermittent_map_;
   fault_map current_;
 };
 

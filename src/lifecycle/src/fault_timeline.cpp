@@ -21,7 +21,6 @@ fault_timeline::fault_timeline(array_geometry geometry, timeline_config config)
       arrivals_gen_(make_stream_rng(config.seed, stream_tag("lifecycle.arrivals"))),
       activity_seed_(splitmix64(config.seed ^ stream_tag("lifecycle.activity"))),
       persistent_map_(geometry),
-      intermittent_map_(geometry),
       current_(geometry) {
   expects(geometry.cells() > 0, "fault timeline needs a non-empty array");
 }
@@ -43,19 +42,25 @@ fault_timeline::fault_timeline(fault_map initial, timeline_config config)
     const auto row = static_cast<std::uint32_t>(pick / geometry_.width);
     const auto col = static_cast<std::uint32_t>(pick % geometry_.width);
     if (cell_occupied(row, col)) continue;
-    const fault f{row, col, sample_fault_kind(gen, config.polarity)};
-    intermittent_.push_back(timeline_fault{f, 0, true});
-    intermittent_map_.add(f);
+    add_intermittent(timeline_fault{
+        {row, col, sample_fault_kind(gen, config.polarity)}, 0, true});
   }
-  std::sort(intermittent_.begin(), intermittent_.end(), cell_before);
   rebuild_current();
 }
 
+void fault_timeline::add_intermittent(const timeline_fault& record) {
+  intermittent_.insert(std::lower_bound(intermittent_.begin(), intermittent_.end(),
+                                        record, cell_before),
+                       record);
+}
+
 bool fault_timeline::cell_occupied(std::uint32_t row, std::uint32_t col) const {
-  const word_t bit = word_t{1} << col;
-  return ((persistent_map_.planes_of_row(row).fault_cols |
-           intermittent_map_.planes_of_row(row).fault_cols) &
-          bit) != 0;
+  const std::span<const fault> persistent = persistent_map_.faults_in_row(row);
+  return std::any_of(persistent.begin(), persistent.end(),
+                     [col](const fault& f) { return f.col == col; }) ||
+         std::binary_search(intermittent_.begin(), intermittent_.end(),
+                            timeline_fault{{row, col, fault_kind::flip}, 0, false},
+                            cell_before);
 }
 
 bool fault_timeline::intermittent_active(std::uint64_t cell_index,
@@ -69,13 +74,15 @@ bool fault_timeline::intermittent_active(std::uint64_t cell_index,
 }
 
 void fault_timeline::rebuild_current() {
-  current_ = persistent_map_;
+  const std::span<const fault> persistent = persistent_map_.all_faults();
+  std::vector<fault> active(persistent.begin(), persistent.end());
   for (const timeline_fault& record : intermittent_) {
     if (intermittent_active(geometry_.cell_index(record.f.row, record.f.col),
                             epoch_, 0)) {
-      current_.add(record.f);
+      active.push_back(record.f);
     }
   }
+  current_ = fault_map(geometry_, std::move(active));
 }
 
 std::uint32_t fault_timeline::advance() {
@@ -146,15 +153,12 @@ fault_timeline fault_timeline::restore(const timeline_fault_set& set,
             "duplicate cell in timeline fault set");
     timeline.epoch_ = std::max(timeline.epoch_, record.birth_epoch);
     if (record.intermittent) {
-      timeline.intermittent_.push_back(record);
-      timeline.intermittent_map_.add(record.f);
+      timeline.add_intermittent(record);
     } else {
       timeline.persistent_.push_back(record);
       timeline.persistent_map_.add(record.f);
     }
   }
-  std::sort(timeline.intermittent_.begin(), timeline.intermittent_.end(),
-            cell_before);
   timeline.rebuild_current();
   return timeline;
 }

@@ -1,12 +1,17 @@
 // Persistent bit-cell fault maps.
 //
 // Once an SRAM array is manufactured (or operated at a given supply
-// voltage) the set of failing bit-cells is fixed (paper Sec. 2). A
-// fault_map records those cells together with their failure behaviour and
-// can corrupt a stored word the way the physical array would.
+// voltage) the set of failing bit-cells is fixed (paper Sec. 2), and it
+// is small: ~130 cells of a 4096 x 32 array at Pcell 1e-3. A fault_map
+// records exactly those cells — a (row, col)-sorted fault vector plus the
+// geometry, O(faults) space however large the array — and corrupts a
+// stored word by walking the row's faults one at a time. That walk is the
+// reference oracle; fault_plane (fault_plane.hpp) compiles a map into the
+// dense per-row masks the batched hot loop runs on.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "urmem/common/bitops.hpp"
@@ -53,7 +58,7 @@ struct fault {
   friend constexpr bool operator==(const fault&, const fault&) = default;
 };
 
-/// Set of failing cells of one array instance, with O(1) per-row corruption.
+/// Set of failing cells of one array instance, sorted by (row, col).
 class fault_map {
  public:
   fault_map() = default;
@@ -61,29 +66,44 @@ class fault_map {
   /// Creates an empty (fault-free) map for the given geometry.
   explicit fault_map(array_geometry geometry);
 
+  /// Creates a map holding `faults` (any order), sorted once. A cell
+  /// listed more than once keeps its last kind, as repeated add() would.
+  fault_map(array_geometry geometry, std::vector<fault> faults);
+
   [[nodiscard]] const array_geometry& geometry() const { return geometry_; }
 
   /// Registers a failing cell. Re-adding the same cell replaces its kind.
+  /// O(1) when cells arrive in ascending (row, col) order, O(N) otherwise.
   void add(const fault& f);
 
   /// Total number of failing cells N.
-  [[nodiscard]] std::uint64_t fault_count() const { return count_; }
+  [[nodiscard]] std::uint64_t fault_count() const { return faults_.size(); }
 
   /// True when row `row` contains at least one failing cell.
-  [[nodiscard]] bool row_has_faults(std::uint32_t row) const;
+  [[nodiscard]] bool row_has_faults(std::uint32_t row) const {
+    return !faults_in_row(row).empty();
+  }
 
   /// Failing cells in `row`, in ascending column order.
-  [[nodiscard]] std::vector<fault> faults_in_row(std::uint32_t row) const;
+  [[nodiscard]] std::span<const fault> faults_in_row(std::uint32_t row) const {
+    return faults_in_rows(row, row + 1);
+  }
+
+  /// Failing cells in rows [first, end), in ascending (row, col) order.
+  /// Like every span the map returns, valid until the map changes.
+  [[nodiscard]] std::span<const fault> faults_in_rows(std::uint32_t first,
+                                                      std::uint32_t end) const;
 
   /// All failing cells, in ascending (row, col) order.
-  [[nodiscard]] std::vector<fault> all_faults() const;
+  [[nodiscard]] std::span<const fault> all_faults() const { return faults_; }
 
   /// Rows that contain at least one failing cell, ascending.
   [[nodiscard]] std::vector<std::uint32_t> faulty_rows() const;
 
-  /// Returns the word actually read back when `ideal` is stored in `row`.
-  /// Covers the read-visible kinds (stuck-at, flip); transition faults
-  /// act at write time — see apply_write.
+  /// Returns the word actually read back when `ideal` is stored in `row`,
+  /// applying the row's faults one at a time. Covers the read-visible
+  /// kinds (stuck-at, flip); transition faults act at write time — see
+  /// apply_write.
   [[nodiscard]] word_t corrupt(std::uint32_t row, word_t ideal) const;
 
   /// Write-time fault semantics: the cell contents after writing
@@ -94,49 +114,23 @@ class fault_map {
   [[nodiscard]] word_t apply_write(std::uint32_t row, word_t old,
                                    word_t incoming) const;
 
-  /// Columns of `row` whose read value differs from `ideal` when `ideal`
-  /// is stored (i.e. faults that are *active* for this data pattern).
-  [[nodiscard]] std::vector<std::uint32_t> active_fault_columns(std::uint32_t row,
-                                                                word_t ideal) const;
-
-  /// Dense bit-plane masks of one row — what fault_plane compiles into
-  /// contiguous per-mask arrays for the batched fast path.
-  struct row_planes {
-    word_t and_mask = ~word_t{0};
-    word_t or_mask = 0;
-    word_t xor_mask = 0;
-    word_t tf_up_mask = 0;
-    word_t tf_down_mask = 0;
-    word_t fault_cols = 0;
-  };
-
-  /// Compiled masks of `row` (identity masks when the row is fault-free).
-  [[nodiscard]] row_planes planes_of_row(std::uint32_t row) const;
-
-  /// Reference read semantics: walks the row's failing cells one at a
-  /// time and applies each fault individually — the per-fault debug
-  /// oracle the compiled plane is validated against (property tests and
-  /// the CI perf gate). Bit-identical to corrupt().
-  [[nodiscard]] word_t corrupt_reference(std::uint32_t row, word_t ideal) const;
-
-  /// Reference write semantics, per-cell walk; bit-identical to
-  /// apply_write().
-  [[nodiscard]] word_t apply_write_reference(std::uint32_t row, word_t old,
-                                             word_t incoming) const;
-
  private:
-  struct row_state {
-    word_t and_mask = ~word_t{0};  ///< clears stuck-at-0 columns
-    word_t or_mask = 0;            ///< sets stuck-at-1 columns
-    word_t xor_mask = 0;           ///< inverts flip columns
-    word_t tf_up_mask = 0;         ///< columns that cannot rise 0 -> 1
-    word_t tf_down_mask = 0;       ///< columns that cannot fall 1 -> 0
-    word_t fault_cols = 0;         ///< all faulty columns of the row
-  };
-
   array_geometry geometry_{};
-  std::vector<row_state> rows_;
-  std::uint64_t count_ = 0;
+  std::vector<fault> faults_;  ///< ascending (row, col), one entry per cell
 };
+
+/// Calls `fn(row, row_faults)` once per row present in `faults` — a
+/// (row, col)-sorted span such as fault_map::all_faults — in ascending
+/// row order, with that row's faults as a sub-span.
+template <typename Fn>
+void for_each_faulty_row(std::span<const fault> faults, Fn&& fn) {
+  std::size_t first = 0;
+  while (first < faults.size()) {
+    std::size_t end = first + 1;
+    while (end < faults.size() && faults[end].row == faults[first].row) ++end;
+    fn(faults[first].row, faults.subspan(first, end - first));
+    first = end;
+  }
+}
 
 }  // namespace urmem

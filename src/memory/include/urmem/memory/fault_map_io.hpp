@@ -35,8 +35,11 @@ namespace urmem {
 /// Writes `map` in the v1 text format.
 void write_fault_map(std::ostream& out, const fault_map& map);
 
-/// Parses a v1 text fault map. Throws std::invalid_argument on
-/// malformed input (bad header, unknown kind, out-of-range cells).
+/// Parses a v1 text fault map with read_timeline_faults' parser, so
+/// both readers agree on every v1 file. Throws std::invalid_argument on
+/// malformed input (a header other than v1, unknown kind, trailing junk
+/// such as a v2 birth epoch, out-of-range cells). Memory is O(faults),
+/// whatever geometry the header declares.
 [[nodiscard]] fault_map read_fault_map(std::istream& in);
 
 /// One timeline-annotated fault record (v2 format).

@@ -1,19 +1,20 @@
 // Compiled fault planes: a fault_map lowered to dense structure-of-
 // arrays bit-plane masks for the Monte-Carlo injection hot loop.
 //
-// fault_map stays the sparse, queryable builder (add / enumerate / IO);
-// fault_plane is its compiled form: one contiguous array per mask kind
-// (AND for stuck-at-0, OR for stuck-at-1, XOR for flip, plus the two
-// transition-fail planes), indexed by row, together with a faulty-row
-// bitmap. Corrupting or writing a whole row range becomes straight-line
-// word ops over contiguous memory the compiler can vectorize, and the
-// bitmap lets fault-free spans skip the mask pass entirely.
+// fault_map is the sparse, queryable form (a sorted fault list: add /
+// enumerate / IO); fault_plane is the only dense one: one contiguous
+// array per mask kind (AND for stuck-at-0, OR for stuck-at-1, XOR for
+// flip, plus the two transition-fail planes), indexed by row, together
+// with a faulty-row bitmap. Corrupting or writing a whole row range
+// becomes straight-line word ops over contiguous memory the compiler can
+// vectorize, and the bitmap lets fault-free spans skip the mask pass.
 //
 // sram_array compiles a plane from its fault map at construction and
-// recompiles it whenever set_faults installs a new map. The per-cell
-// walk survives as fault_map::corrupt_reference / apply_write_reference
-// — the debug oracle that the property tests and the CI perf gate
-// compare this fast path against (outputs are bit-identical).
+// recompiles it whenever set_faults installs a new map; a recompile
+// resets only the rows the bitmap flags, so it costs O(faults). The
+// per-fault walk fault_map::corrupt / apply_write is the debug oracle
+// that the property tests and the CI perf gate compare this fast path
+// against (outputs are bit-identical).
 #pragma once
 
 #include <cstdint>
@@ -30,15 +31,13 @@ namespace urmem {
 /// application.
 class fault_plane {
  public:
-  /// Empty plane over a zero-row geometry; compile from a map to use.
-  fault_plane() = default;
-
   /// Compiles `map` into dense planes (O(rows) time and space).
   explicit fault_plane(const fault_map& map);
 
-  /// Recompiles from `map` in place, reusing the existing plane storage
-  /// — the sram_array::set_faults invalidation path, which sits in the
-  /// per-tile Monte-Carlo loop and must not reallocate per call.
+  /// Recompiles from `map` (same geometry) in place: resets the rows the
+  /// faulty-row bitmap flags, then writes the new map's faults — the
+  /// sram_array::set_faults invalidation path, which sits in the
+  /// per-tile Monte-Carlo loop and costs O(rows / 64 + faults).
   void recompile(const fault_map& map);
 
   [[nodiscard]] const array_geometry& geometry() const { return geometry_; }

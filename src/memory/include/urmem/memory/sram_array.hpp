@@ -2,11 +2,13 @@
 //
 // The array stores one word per row and applies its fault map on every
 // read — the software equivalent of reading through failing bit-cells.
-// Reads and writes go through a compiled fault_plane (dense per-row
-// bit-plane masks, see fault_plane.hpp) which is recompiled whenever
-// set_faults installs a new map; the per-cell reference walk is kept as
-// a switchable debug oracle (fault_path::reference, or process-wide via
-// URMEM_FAULT_PATH=reference) and is bit-identical to the fast path.
+// The array holds its fault map (the sparse sorted fault list) and one
+// compiled fault_plane (dense per-row bit-plane masks, see
+// fault_plane.hpp) that is recompiled whenever set_faults installs a new
+// map. Reads and writes go through the plane; the map's per-fault walk
+// (fault_map::corrupt / apply_write) is a switchable debug oracle
+// (fault_path::reference, or process-wide via URMEM_FAULT_PATH=reference)
+// and is bit-identical to the fast path.
 // A fault-free back door (read_ideal / raw word access) is provided for
 // test oracles and for the BIST engine's expected-data comparison.
 #pragma once
@@ -25,7 +27,7 @@ namespace urmem {
 /// Which fault machinery serves reads and writes.
 enum class fault_path : std::uint8_t {
   compiled,   ///< dense fault_plane masks (the fast path, default)
-  reference,  ///< per-cell fault walk (debug oracle, bit-identical)
+  reference,  ///< fault_map's per-fault walk (debug oracle, bit-identical)
 };
 
 /// R x W bit SRAM with persistent stuck-at / flip / transition faults.
@@ -57,7 +59,7 @@ class sram_array {
   /// stored data is preserved.
   void set_faults(fault_map faults);
 
-  /// Selects the compiled fast path or the per-cell reference oracle for
+  /// Selects the compiled fast path or the per-fault reference oracle for
   /// subsequent reads/writes. Both produce bit-identical results.
   void set_fault_path(fault_path path) { path_ = path; }
   [[nodiscard]] fault_path path() const { return path_; }

@@ -1,152 +1,103 @@
 #include "urmem/memory/fault_map.hpp"
 
+#include <algorithm>
+
 #include "urmem/common/contracts.hpp"
 
 namespace urmem {
 
+namespace {
+
+constexpr bool cell_before(const fault& a, const fault& b) {
+  return a.row != b.row ? a.row < b.row : a.col < b.col;
+}
+
+constexpr bool same_cell(const fault& a, const fault& b) {
+  return a.row == b.row && a.col == b.col;
+}
+
+}  // namespace
+
 fault_map::fault_map(array_geometry geometry) : geometry_(geometry) {
   expects(geometry.rows >= 1, "fault_map requires at least one row");
   expects(is_valid_width(geometry.width), "fault_map word width must be 1..64");
-  rows_.resize(geometry.rows);
+}
+
+fault_map::fault_map(array_geometry geometry, std::vector<fault> faults)
+    : fault_map(geometry) {
+  for (const fault& f : faults) {
+    expects(f.row < geometry_.rows, "fault row out of range");
+    expects(f.col < geometry_.width, "fault column out of range");
+  }
+  // The stable sort keeps each cell's duplicates in input order; unique
+  // over the reversed range then keeps the last of every run (add()'s
+  // last-wins rule), packed at the back in ascending order.
+  std::stable_sort(faults.begin(), faults.end(), cell_before);
+  faults.erase(faults.begin(),
+               std::unique(faults.rbegin(), faults.rend(), same_cell).base());
+  faults_ = std::move(faults);
 }
 
 void fault_map::add(const fault& f) {
   expects(f.row < geometry_.rows, "fault row out of range");
   expects(f.col < geometry_.width, "fault column out of range");
-  row_state& state = rows_[f.row];
-  const word_t bit = word_t{1} << f.col;
-  if ((state.fault_cols & bit) == 0) {
-    state.fault_cols |= bit;
-    ++count_;
+  if (faults_.empty() || cell_before(faults_.back(), f)) {
+    faults_.push_back(f);
+    return;
+  }
+  const auto it = std::lower_bound(faults_.begin(), faults_.end(), f, cell_before);
+  if (same_cell(*it, f)) {
+    it->kind = f.kind;
   } else {
-    // Replacing an existing fault: clear its previous behaviour first.
-    state.and_mask |= bit;
-    state.or_mask &= ~bit;
-    state.xor_mask &= ~bit;
-    state.tf_up_mask &= ~bit;
-    state.tf_down_mask &= ~bit;
-  }
-  switch (f.kind) {
-    case fault_kind::stuck_at_zero: state.and_mask &= ~bit; break;
-    case fault_kind::stuck_at_one: state.or_mask |= bit; break;
-    case fault_kind::flip: state.xor_mask |= bit; break;
-    case fault_kind::transition_up_fail: state.tf_up_mask |= bit; break;
-    case fault_kind::transition_down_fail: state.tf_down_mask |= bit; break;
+    faults_.insert(it, f);
   }
 }
 
-bool fault_map::row_has_faults(std::uint32_t row) const {
-  expects(row < geometry_.rows, "row out of range");
-  return rows_[row].fault_cols != 0;
-}
-
-std::vector<fault> fault_map::faults_in_row(std::uint32_t row) const {
-  expects(row < geometry_.rows, "row out of range");
-  std::vector<fault> out;
-  const row_state& state = rows_[row];
-  for (std::uint32_t col = 0; col < geometry_.width; ++col) {
-    const word_t bit = word_t{1} << col;
-    if ((state.fault_cols & bit) == 0) continue;
-    fault f{row, col, fault_kind::flip};
-    if ((state.and_mask & bit) == 0) f.kind = fault_kind::stuck_at_zero;
-    else if ((state.or_mask & bit) != 0) f.kind = fault_kind::stuck_at_one;
-    else if ((state.tf_up_mask & bit) != 0) f.kind = fault_kind::transition_up_fail;
-    else if ((state.tf_down_mask & bit) != 0) {
-      f.kind = fault_kind::transition_down_fail;
-    }
-    out.push_back(f);
-  }
-  return out;
-}
-
-std::vector<fault> fault_map::all_faults() const {
-  std::vector<fault> out;
-  out.reserve(count_);
-  for (std::uint32_t row = 0; row < geometry_.rows; ++row) {
-    if (rows_[row].fault_cols == 0) continue;
-    const auto row_faults = faults_in_row(row);
-    out.insert(out.end(), row_faults.begin(), row_faults.end());
-  }
-  return out;
+std::span<const fault> fault_map::faults_in_rows(std::uint32_t first,
+                                                 std::uint32_t end) const {
+  expects(first <= end && end <= geometry_.rows, "row range out of bounds");
+  const auto row_below = [](const fault& f, std::uint32_t row) { return f.row < row; };
+  const auto lo = std::lower_bound(faults_.begin(), faults_.end(), first, row_below);
+  const auto hi = std::lower_bound(lo, faults_.end(), end, row_below);
+  return {lo, hi};
 }
 
 std::vector<std::uint32_t> fault_map::faulty_rows() const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t row = 0; row < geometry_.rows; ++row) {
-    if (rows_[row].fault_cols != 0) out.push_back(row);
+  std::vector<std::uint32_t> rows;
+  for (const fault& f : faults_) {
+    if (rows.empty() || rows.back() != f.row) rows.push_back(f.row);
   }
-  return out;
+  return rows;
 }
 
 word_t fault_map::corrupt(std::uint32_t row, word_t ideal) const {
-  expects(row < geometry_.rows, "row out of range");
-  const row_state& state = rows_[row];
-  ideal &= word_mask(geometry_.width);
-  return (((ideal & state.and_mask) | state.or_mask) ^ state.xor_mask) &
-         word_mask(geometry_.width);
-}
-
-word_t fault_map::apply_write(std::uint32_t row, word_t old, word_t incoming) const {
-  expects(row < geometry_.rows, "row out of range");
-  const row_state& state = rows_[row];
-  const word_t mask = word_mask(geometry_.width);
-  old &= mask;
-  incoming &= mask;
-  // A blocked rising transition keeps the old 0; a blocked falling
-  // transition keeps the old 1.
-  const word_t blocked_up = state.tf_up_mask & ~old & incoming;
-  const word_t blocked_down = state.tf_down_mask & old & ~incoming;
-  return ((incoming & ~blocked_up) | blocked_down) & mask;
-}
-
-fault_map::row_planes fault_map::planes_of_row(std::uint32_t row) const {
-  expects(row < geometry_.rows, "row out of range");
-  const row_state& state = rows_[row];
-  return {state.and_mask, state.or_mask,    state.xor_mask,
-          state.tf_up_mask, state.tf_down_mask, state.fault_cols};
-}
-
-word_t fault_map::corrupt_reference(std::uint32_t row, word_t ideal) const {
-  expects(row < geometry_.rows, "row out of range");
-  const row_state& state = rows_[row];
   word_t out = ideal & word_mask(geometry_.width);
-  for (word_t pending = state.fault_cols; pending != 0; pending &= pending - 1) {
-    const word_t bit = pending & (~pending + 1);
-    if ((state.and_mask & bit) == 0) out &= ~bit;       // stuck-at-0
-    else if ((state.or_mask & bit) != 0) out |= bit;    // stuck-at-1
-    else if ((state.xor_mask & bit) != 0) out ^= bit;   // flip
-    // transition faults act at write time: read-transparent here
-  }
-  return out;
-}
-
-word_t fault_map::apply_write_reference(std::uint32_t row, word_t old,
-                                        word_t incoming) const {
-  expects(row < geometry_.rows, "row out of range");
-  const row_state& state = rows_[row];
-  const word_t mask = word_mask(geometry_.width);
-  old &= mask;
-  word_t out = incoming & mask;
-  for (word_t pending = state.fault_cols; pending != 0; pending &= pending - 1) {
-    const word_t bit = pending & (~pending + 1);
-    if ((state.tf_up_mask & bit) != 0 && (old & bit) == 0 && (out & bit) != 0) {
-      out &= ~bit;  // blocked 0 -> 1: the cell keeps its 0
-    } else if ((state.tf_down_mask & bit) != 0 && (old & bit) != 0 &&
-               (out & bit) == 0) {
-      out |= bit;  // blocked 1 -> 0: the cell keeps its 1
+  for (const fault& f : faults_in_row(row)) {
+    const word_t bit = word_t{1} << f.col;
+    switch (f.kind) {
+      case fault_kind::stuck_at_zero: out &= ~bit; break;
+      case fault_kind::stuck_at_one: out |= bit; break;
+      case fault_kind::flip: out ^= bit; break;
+      case fault_kind::transition_up_fail:
+      case fault_kind::transition_down_fail:
+        break;  // write-time kinds are read-transparent
     }
   }
   return out;
 }
 
-std::vector<std::uint32_t> fault_map::active_fault_columns(std::uint32_t row,
-                                                           word_t ideal) const {
-  const word_t diff = corrupt(row, ideal) ^ (ideal & word_mask(geometry_.width));
-  std::vector<std::uint32_t> cols;
-  for (std::uint32_t col = 0; col < geometry_.width; ++col) {
-    if (get_bit(diff, col)) cols.push_back(col);
+word_t fault_map::apply_write(std::uint32_t row, word_t old, word_t incoming) const {
+  const word_t mask = word_mask(geometry_.width);
+  old &= mask;
+  word_t out = incoming & mask;
+  for (const fault& f : faults_in_row(row)) {
+    const word_t bit = word_t{1} << f.col;
+    // A blocked rising transition keeps the old 0; a blocked falling
+    // transition keeps the old 1.
+    if (f.kind == fault_kind::transition_up_fail && (old & bit) == 0) out &= ~bit;
+    if (f.kind == fault_kind::transition_down_fail && (old & bit) != 0) out |= bit;
   }
-  return cols;
+  return out;
 }
 
 }  // namespace urmem

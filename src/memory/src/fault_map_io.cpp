@@ -36,38 +36,6 @@ void write_fault_map(std::ostream& out, const fault_map& map) {
   }
 }
 
-fault_map read_fault_map(std::istream& in) {
-  std::string line;
-  expects(static_cast<bool>(std::getline(in, line)), "empty fault map file");
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  expects(line == "urmem-faultmap v1", "bad fault map header: " + line);
-
-  expects(static_cast<bool>(std::getline(in, line)), "missing geometry line");
-  std::istringstream geo(line);
-  std::string tag;
-  std::uint32_t rows = 0;
-  std::uint32_t width = 0;
-  geo >> tag >> rows >> width;
-  expects(tag == "geometry" && !geo.fail(), "bad geometry line: " + line);
-
-  fault_map map({rows, width});
-  std::size_t line_no = 2;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line.front() == '#') continue;
-    std::istringstream ss(line);
-    std::string kind_name;
-    std::uint32_t row = 0;
-    std::uint32_t col = 0;
-    ss >> tag >> row >> col >> kind_name;
-    expects(tag == "fault" && !ss.fail(),
-            "bad fault line " + std::to_string(line_no) + ": " + line);
-    map.add(fault{row, col, fault_kind_from_name(kind_name)});
-  }
-  return map;
-}
-
 void write_timeline_faults(std::ostream& out, const timeline_fault_set& set) {
   out << "urmem-faultmap v2\n";
   out << "geometry " << set.geometry.rows << " " << set.geometry.width << "\n";
@@ -79,11 +47,14 @@ void write_timeline_faults(std::ostream& out, const timeline_fault_set& set) {
   }
 }
 
-timeline_fault_set read_timeline_faults(std::istream& in) {
+namespace {
+
+/// The one fault-map text parser: v1, or v1 and v2 when `accept_v2`.
+timeline_fault_set parse_fault_text(std::istream& in, bool accept_v2) {
   std::string line;
   expects(static_cast<bool>(std::getline(in, line)), "empty fault map file");
   if (!line.empty() && line.back() == '\r') line.pop_back();
-  const bool v2 = line == "urmem-faultmap v2";
+  const bool v2 = accept_v2 && line == "urmem-faultmap v2";
   expects(v2 || line == "urmem-faultmap v1", "bad fault map header: " + line);
 
   expects(static_cast<bool>(std::getline(in, line)), "missing geometry line");
@@ -128,6 +99,20 @@ timeline_fault_set read_timeline_faults(std::istream& in) {
     set.faults.push_back(record);
   }
   return set;
+}
+
+}  // namespace
+
+fault_map read_fault_map(std::istream& in) {
+  const timeline_fault_set set = parse_fault_text(in, false);
+  std::vector<fault> faults;
+  faults.reserve(set.faults.size());
+  for (const timeline_fault& record : set.faults) faults.push_back(record.f);
+  return fault_map(set.geometry, std::move(faults));
+}
+
+timeline_fault_set read_timeline_faults(std::istream& in) {
+  return parse_fault_text(in, true);
 }
 
 void save_fault_map(const std::string& path, const fault_map& map) {

@@ -1,33 +1,48 @@
 #include "urmem/memory/fault_plane.hpp"
 
+#include <bit>
+
 namespace urmem {
 
-fault_plane::fault_plane(const fault_map& map) { recompile(map); }
+fault_plane::fault_plane(const fault_map& map)
+    : geometry_(map.geometry()),
+      mask_(geometry_.width == 0 ? 0 : word_mask(geometry_.width)),
+      // Folding the width mask into the AND plane keeps every plane
+      // output width-masked without a separate masking op in the hot loop.
+      and_(geometry_.rows, mask_),
+      or_(geometry_.rows, 0),
+      xor_(geometry_.rows, 0),
+      tf_up_(geometry_.rows, 0),
+      tf_down_(geometry_.rows, 0),
+      faulty_rows_((geometry_.rows + 63) / 64, 0) {
+  recompile(map);
+}
 
 void fault_plane::recompile(const fault_map& map) {
-  geometry_ = map.geometry();
-  mask_ = geometry_.width == 0 ? 0 : word_mask(geometry_.width);
-  fault_count_ = map.fault_count();
-  // resize/assign reuse the existing capacity when the geometry repeats
-  // (the common case: a fresh map for the same array every trial).
-  and_.resize(geometry_.rows);
-  or_.resize(geometry_.rows);
-  xor_.resize(geometry_.rows);
-  tf_up_.resize(geometry_.rows);
-  tf_down_.resize(geometry_.rows);
-  faulty_rows_.assign((geometry_.rows + 63) / 64, 0);
-  for (std::uint32_t row = 0; row < geometry_.rows; ++row) {
-    const fault_map::row_planes planes = map.planes_of_row(row);
-    // Folding the width mask into the AND plane keeps every plane output
-    // width-masked without a separate masking op in the hot loop.
-    and_[row] = planes.and_mask & mask_;
-    or_[row] = planes.or_mask;
-    xor_[row] = planes.xor_mask;
-    tf_up_[row] = planes.tf_up_mask;
-    tf_down_[row] = planes.tf_down_mask;
-    if (planes.fault_cols != 0) {
-      faulty_rows_[row / 64] |= word_t{1} << (row % 64);
+  expects(map.geometry() == geometry_, "fault plane geometry mismatch");
+  // Clear by list: only rows the bitmap flags hold non-identity masks.
+  for (std::size_t w = 0; w < faulty_rows_.size(); ++w) {
+    for (word_t bits = faulty_rows_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t row = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      and_[row] = mask_;
+      or_[row] = 0;
+      xor_[row] = 0;
+      tf_up_[row] = 0;
+      tf_down_[row] = 0;
     }
+    faulty_rows_[w] = 0;
+  }
+  fault_count_ = map.fault_count();
+  for (const fault& f : map.all_faults()) {
+    const word_t bit = word_t{1} << f.col;
+    switch (f.kind) {
+      case fault_kind::stuck_at_zero: and_[f.row] &= ~bit; break;
+      case fault_kind::stuck_at_one: or_[f.row] |= bit; break;
+      case fault_kind::flip: xor_[f.row] |= bit; break;
+      case fault_kind::transition_up_fail: tf_up_[f.row] |= bit; break;
+      case fault_kind::transition_down_fail: tf_down_[f.row] |= bit; break;
+    }
+    faulty_rows_[f.row / 64] |= word_t{1} << (f.row % 64);
   }
 }
 

@@ -19,8 +19,9 @@ sram_array::sram_array(fault_map faults)
 void sram_array::set_faults(fault_map faults) {
   expects(faults.geometry() == geometry(), "fault map geometry mismatch");
   faults_ = std::move(faults);
-  // The compiled planes describe the previous map: recompile them
-  // (in place — this runs once per tile in the Monte-Carlo loop).
+  // The compiled planes describe the previous map: recompile them in
+  // place (clear-by-list — this runs once per tile in the Monte-Carlo
+  // loop).
   plane_.recompile(faults_);
 }
 
@@ -43,7 +44,7 @@ void sram_array::write(std::uint32_t row, word_t value) {
   // fault kinds corrupt on read.
   value &= word_mask(width());
   data_[row] = path_ == fault_path::reference
-                   ? faults_.apply_write_reference(row, data_[row], value)
+                   ? faults_.apply_write(row, data_[row], value)
                    : plane_.apply_write(row, data_[row], value);
   accesses_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -52,7 +53,7 @@ word_t sram_array::read(std::uint32_t row) const {
   expects(row < rows(), "row out of range");
   accesses_.fetch_add(1, std::memory_order_relaxed);
   return path_ == fault_path::reference
-             ? faults_.corrupt_reference(row, data_[row])
+             ? faults_.corrupt(row, data_[row])
              : plane_.corrupt(row, data_[row]);
 }
 
@@ -62,8 +63,7 @@ void sram_array::write_rows(std::uint32_t first, std::span<const word_t> values)
   if (path_ == fault_path::reference) {
     for (std::size_t i = 0; i < values.size(); ++i) {
       const auto row = first + static_cast<std::uint32_t>(i);
-      data_[row] = faults_.apply_write_reference(
-          row, data_[row], values[i] & word_mask(width()));
+      data_[row] = faults_.apply_write(row, data_[row], values[i]);
     }
   } else {
     plane_.apply_write_rows(first, values,
@@ -79,7 +79,7 @@ void sram_array::read_rows(std::uint32_t first, std::span<word_t> out) const {
   if (path_ == fault_path::reference) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       const auto row = first + static_cast<std::uint32_t>(i);
-      out[i] = faults_.corrupt_reference(row, data_[row]);
+      out[i] = faults_.corrupt(row, data_[row]);
     }
     return;
   }

@@ -262,28 +262,29 @@ class hrm_workload final : public workload {
       // space: faulty, unrepaired data rows — counting only columns the
       // row's own tier stores (faults in a wider sibling's surplus
       // columns are harmless and never reach the repair pass either).
-      const fault_map& installed = memory.array().faults();
-      for (const std::uint32_t row : installed.faulty_rows()) {
-        if (row >= rows) continue;  // spares only serve remapped rows
-        const auto it = std::lower_bound(
-            remaps.begin(), remaps.end(), row,
-            [](const auto& remap, std::uint32_t key) {
-              return remap.first < key;
-            });
-        if (it != remaps.end() && it->first == row) continue;
-        const std::size_t r = region_of(tiered.regions, row);
-        const unsigned region_bits =
-            tiered.regions[r].storage_bits == 0
-                ? memory.scheme().storage_bits()
-                : tiered.regions[r].storage_bits;
-        std::uint64_t visible = 0;
-        for (const fault& f : installed.faults_in_row(row)) {
-          if (f.col < region_bits) ++visible;
-        }
-        if (visible == 0) continue;
-        result.regions[r].residual_rows++;
-        result.regions[r].residual_faults += visible;
-      }
+      // Spares only serve remapped rows, so only data rows count.
+      for_each_faulty_row(
+          memory.array().faults().faults_in_rows(0, rows),
+          [&](std::uint32_t row, std::span<const fault> row_faults) {
+            const auto it = std::lower_bound(
+                remaps.begin(), remaps.end(), row,
+                [](const auto& remap, std::uint32_t key) {
+                  return remap.first < key;
+                });
+            if (it != remaps.end() && it->first == row) return;
+            const std::size_t r = region_of(tiered.regions, row);
+            const unsigned region_bits =
+                tiered.regions[r].storage_bits == 0
+                    ? memory.scheme().storage_bits()
+                    : tiered.regions[r].storage_bits;
+            std::uint64_t visible = 0;
+            for (const fault& f : row_faults) {
+              if (f.col < region_bits) ++visible;
+            }
+            if (visible == 0) return;
+            result.regions[r].residual_rows++;
+            result.regions[r].residual_faults += visible;
+          });
 
       memory.write_block(0, std::span<const word_t>(words).subspan(cursor,
                                                                    tile_words));

@@ -83,9 +83,8 @@ class protected_memory {
   /// Installs a fault map (geometry = storage_geometry()), runs each
   /// region's spare-row repair when that region has spares, and lets
   /// the scheme reconfigure itself from the (post-repair) faults, the
-  /// way a BIST + fuse + BIST flow would. A fault-free map short-
-  /// circuits the repair pass entirely: row_remaps() stays empty and no
-  /// repair engine runs.
+  /// way a BIST + fuse + BIST flow would. Work is O(faults + spares):
+  /// a fault-free map leaves row_remaps() empty.
   void set_fault_map(fault_map faults);
 
   /// (logical row -> spare row) assignments of the last repair.

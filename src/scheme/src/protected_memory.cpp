@@ -68,18 +68,11 @@ void protected_memory::set_fault_map(fault_map faults) {
     array_.set_faults(std::move(faults));
     return;
   }
-  if (faults.fault_count() == 0) {
-    // Fault-free manufacture: nothing to fuse, so skip the repair pass
-    // (and its per-region map shuffling) outright — the scheme still
-    // reprograms itself from the clean map, as a real BIST would report.
-    scheme_->configure(fault_map(array_geometry{logical_rows_, width}));
-    array_.set_faults(std::move(faults));
-    return;
-  }
   // Fuse stage first, one pass per region: remap the region's faulty
   // data rows onto its own fault-free spares, then let the scheme
   // program itself from what repair left behind (the post-repair BIST
-  // pass of a real redundancy + mitigation flow).
+  // pass of a real redundancy + mitigation flow). Every walk below is
+  // over ascending sorted faults, so each add() appends.
   fault_map residual(array_geometry{logical_rows_, width});
   for (std::size_t r = 0; r < regions_.size(); ++r) {
     const memory_region& region = regions_[r];
@@ -90,13 +83,12 @@ void protected_memory::set_fault_map(fault_map faults) {
     // would never see them, so repair and residual both skip them.
     const unsigned region_bits =
         region.storage_bits == 0 ? width : region.storage_bits;
+    const std::span<const fault> data_faults =
+        faults.faults_in_rows(region.first_row, region.last_row + 1);
     if (region.spare_rows == 0) {
       // No pool: the region's (data-visible) faults stay as-is.
-      for (std::uint32_t row = region.first_row; row <= region.last_row; ++row) {
-        if (!faults.row_has_faults(row)) continue;
-        for (const fault& f : faults.faults_in_row(row)) {
-          if (f.col < region_bits) residual.add(f);
-        }
+      for (const fault& f : data_faults) {
+        if (f.col < region_bits) residual.add(f);
       }
       continue;
     }
@@ -104,16 +96,13 @@ void protected_memory::set_fault_map(fault_map faults) {
     // geometry the repair engine expects.
     const std::uint32_t region_rows = region.rows();
     fault_map sub(array_geometry{region_rows + region.spare_rows, width});
-    for (std::uint32_t row = region.first_row; row <= region.last_row; ++row) {
-      if (!faults.row_has_faults(row)) continue;
-      for (const fault& f : faults.faults_in_row(row)) {
-        if (f.col < region_bits) sub.add({f.row - region.first_row, f.col, f.kind});
-      }
+    for (const fault& f : data_faults) {
+      if (f.col < region_bits) sub.add({f.row - region.first_row, f.col, f.kind});
     }
-    for (std::uint32_t s = 0; s < region.spare_rows; ++s) {
-      if (!faults.row_has_faults(spare_base + s)) continue;
-      for (const fault& f : faults.faults_in_row(spare_base + s)) {
-        if (f.col < region_bits) sub.add({region_rows + s, f.col, f.kind});
+    for (const fault& f :
+         faults.faults_in_rows(spare_base, spare_base + region.spare_rows)) {
+      if (f.col < region_bits) {
+        sub.add({region_rows + (f.row - spare_base), f.col, f.kind});
       }
     }
     const row_redundancy_repair repair_engine(region_rows, region.spare_rows,
@@ -174,8 +163,6 @@ std::optional<std::uint32_t> protected_memory::retire_row_to_region(
   const memory_region& home = regions_[region_of(row)];
   const unsigned needed_bits =
       home.storage_bits == 0 ? scheme_->storage_bits() : home.storage_bits;
-  const word_t mask = needed_bits >= 64 ? ~word_t{0}
-                                        : ((word_t{1} << needed_bits) - 1);
   const fault_map& faults = array_.faults();
   const memory_region& donor = regions_[region_index];
   const std::uint32_t base = spare_bases_[region_index];
@@ -185,7 +172,11 @@ std::optional<std::uint32_t> protected_memory::retire_row_to_region(
     // Spares age like data rows: eligibility is judged against the
     // *current* map, so a spare that failed since manufacture is passed
     // over (but not consumed — a narrower row may still fit it later).
-    if ((faults.planes_of_row(physical).fault_cols & mask) != 0) continue;
+    const std::span<const fault> spare_faults = faults.faults_in_row(physical);
+    if (std::any_of(spare_faults.begin(), spare_faults.end(),
+                    [&](const fault& f) { return f.col < needed_bits; })) {
+      continue;
+    }
     spare_used_[physical - logical_rows_] = true;
     array_.write(physical, encode_word(row, data));
     const auto it = std::lower_bound(
@@ -318,15 +309,17 @@ double protected_memory::analytic_mse(std::uint32_t first,
   // allocation for every faulty row of every map.
   static thread_local std::vector<std::uint32_t> cols;
   double total = 0.0;
-  for (const std::uint32_t row : faults.faulty_rows()) {
-    // Spares only serve remapped rows (and repair picks fault-free
-    // spares), so faulty spares and retired (remapped) data rows both
-    // contribute nothing to the visible address space.
-    if (row < first || row > last || physical_row(row) != row) continue;
-    cols.clear();
-    for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    total += scheme_->worst_case_row_cost(row, cols);
-  }
+  // Spares only serve remapped rows (and repair picks fault-free
+  // spares), so faulty spares and retired (remapped) data rows both
+  // contribute nothing to the visible address space.
+  for_each_faulty_row(
+      faults.faults_in_rows(first, last + 1),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        if (physical_row(row) != row) return;
+        cols.clear();
+        for (const fault& f : row_faults) cols.push_back(f.col);
+        total += scheme_->worst_case_row_cost(row, cols);
+      });
   return total / static_cast<double>(last - first + 1);
 }
 
@@ -335,16 +328,18 @@ std::uint64_t protected_memory::residual_rows() const {
   static thread_local std::vector<std::uint32_t> cols;
   static thread_local std::vector<std::uint32_t> bits;
   std::uint64_t degraded = 0;
-  for (const std::uint32_t row : faults.faulty_rows()) {
-    // Same visibility rule as analytic_mse: faulty spares and retired
-    // (remapped) data rows contribute nothing to the address space.
-    if (row >= logical_rows_ || physical_row(row) != row) continue;
-    cols.clear();
-    for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    bits.clear();
-    scheme_->residual_fault_bits(row, cols, bits);
-    if (!bits.empty()) ++degraded;
-  }
+  // Same visibility rule as analytic_mse: faulty spares and retired
+  // (remapped) data rows contribute nothing to the address space.
+  for_each_faulty_row(
+      faults.faults_in_rows(0, logical_rows_),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        if (physical_row(row) != row) return;
+        cols.clear();
+        for (const fault& f : row_faults) cols.push_back(f.col);
+        bits.clear();
+        scheme_->residual_fault_bits(row, cols, bits);
+        if (!bits.empty()) ++degraded;
+      });
   return degraded;
 }
 

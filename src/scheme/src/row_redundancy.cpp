@@ -33,19 +33,18 @@ repair_result row_redundancy_repair::repair(const fault_map& manufactured) const
   result.usable_spares = static_cast<std::uint32_t>(healthy_spares.size());
 
   std::size_t next_spare = 0;
-  for (std::uint32_t row = 0; row < data_rows_; ++row) {
-    if (!manufactured.row_has_faults(row)) continue;
-    ++result.faulty_data_rows;
-    if (next_spare < healthy_spares.size()) {
-      result.remaps.emplace_back(row, healthy_spares[next_spare++]);
-      ++result.repaired_rows;
-    } else {
-      // Spares exhausted: the row's faults remain visible.
-      for (const fault& f : manufactured.faults_in_row(row)) {
-        result.residual.add(f);
-      }
-    }
-  }
+  for_each_faulty_row(
+      manufactured.faults_in_rows(0, data_rows_),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        ++result.faulty_data_rows;
+        if (next_spare < healthy_spares.size()) {
+          result.remaps.emplace_back(row, healthy_spares[next_spare++]);
+          ++result.repaired_rows;
+        } else {
+          // Spares exhausted: the row's faults remain visible.
+          for (const fault& f : row_faults) result.residual.add(f);
+        }
+      });
   return result;
 }
 

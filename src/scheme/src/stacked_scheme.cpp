@@ -40,15 +40,17 @@ void stacked_scheme::configure(const fault_map& faults) {
   fault_map mapped(array_geometry{rows_, shuffle_.storage_bits()});
   std::vector<std::uint32_t> cols;
   std::vector<std::uint32_t> residual;
-  for (const std::uint32_t row : faults.faulty_rows()) {
-    cols.clear();
-    residual.clear();
-    for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    ecc_->residual_fault_bits(row, cols, residual);
-    for (const std::uint32_t bit : residual) {
-      mapped.add({row, bit, fault_kind::flip});
-    }
-  }
+  for_each_faulty_row(
+      faults.all_faults(),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        cols.clear();
+        residual.clear();
+        for (const fault& f : row_faults) cols.push_back(f.col);
+        ecc_->residual_fault_bits(row, cols, residual);
+        for (const std::uint32_t bit : residual) {
+          mapped.add({row, bit, fault_kind::flip});
+        }
+      });
   shuffle_.configure(mapped);
 }
 

@@ -72,12 +72,9 @@ void tiered_scheme::configure(const fault_map& faults) {
   for (const tier& t : tiers_) {
     fault_map sub(array_geometry{t.last_row - t.first_row + 1,
                                  t.scheme->storage_bits()});
-    for (std::uint32_t row = t.first_row; row <= t.last_row; ++row) {
-      if (!faults.row_has_faults(row)) continue;
-      for (const fault& f : faults.faults_in_row(row)) {
-        if (f.col < t.scheme->storage_bits()) {
-          sub.add({row - t.first_row, f.col, f.kind});
-        }
+    for (const fault& f : faults.faults_in_rows(t.first_row, t.last_row + 1)) {
+      if (f.col < t.scheme->storage_bits()) {
+        sub.add({f.row - t.first_row, f.col, f.kind});
       }
     }
     t.scheme->configure(sub);

@@ -42,14 +42,16 @@ void shuffle_scheme::program(const fault_map& faults) {
   expects(faults.geometry().width >= shuffler_.width(),
           "fault map must cover the data columns");
   lut_.clear();
-  for (const std::uint32_t row : faults.faulty_rows()) {
-    std::vector<std::uint32_t> cols;
-    for (const fault& f : faults.faults_in_row(row)) {
-      if (f.col < shuffler_.width()) cols.push_back(f.col);  // data columns only
-    }
-    if (cols.empty()) continue;
-    lut_.set(row, choose_xfm(shuffler_, cols, policy_));
-  }
+  std::vector<std::uint32_t> cols;
+  for_each_faulty_row(
+      faults.all_faults(),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        cols.clear();
+        for (const fault& f : row_faults) {
+          if (f.col < shuffler_.width()) cols.push_back(f.col);  // data columns only
+        }
+        if (!cols.empty()) lut_.set(row, choose_xfm(shuffler_, cols, policy_));
+      });
 }
 
 }  // namespace urmem

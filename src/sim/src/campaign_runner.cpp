@@ -263,18 +263,15 @@ empirical_cdf campaign_runner::map_weighted(
     const std::function<weighted_sample(std::uint64_t, rng&)>& fn) {
   expects(static_cast<bool>(fn), "campaign needs a sampling body");
   expects(trials > 0, "a weighted campaign needs at least one trial");
-  std::vector<weighted_sample> samples(trials);
-  run(trials, [&samples, &fn](std::uint64_t trial, rng& gen) {
-    samples[trial] = fn(trial, gen);
+  // Samples land straight in the two columns empirical_cdf takes, so no
+  // third per-trial copy is alive while the CDF sorts.
+  std::vector<double> values(trials);
+  std::vector<double> weights(trials);
+  run(trials, [&values, &weights, &fn](std::uint64_t trial, rng& gen) {
+    const weighted_sample s = fn(trial, gen);
+    values[trial] = s.value;
+    weights[trial] = s.weight;
   });
-  std::vector<double> values;
-  std::vector<double> weights;
-  values.reserve(trials);
-  weights.reserve(trials);
-  for (const weighted_sample& s : samples) {
-    values.push_back(s.value);
-    weights.push_back(s.weight);
-  }
   return empirical_cdf(std::move(values), std::move(weights));
 }
 

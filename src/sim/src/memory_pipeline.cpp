@@ -75,16 +75,18 @@ fault_injector no_fault_injector() {
 
 namespace {
 
-/// Rebases one region's sub-map (data rows, then its spares) into the
-/// tile map using protected_memory's region-order spare layout.
-void merge_region_faults(fault_map& tile, const fault_map& drawn,
+/// Rebases one region's sub-map (data rows, then its spares) into tile
+/// rows using protected_memory's region-order spare layout. The tile's
+/// map is built once from the collected faults: regions interleave data
+/// and spare rows, so adding them one by one would insert mid-map.
+void merge_region_faults(std::vector<fault>& tile, const fault_map& drawn,
                          const memory_region& region,
                          std::uint32_t spare_base) {
   for (const fault& f : drawn.all_faults()) {
     const bool is_spare = f.row >= region.rows();
     const std::uint32_t row = is_spare ? spare_base + (f.row - region.rows())
                                        : region.first_row + f.row;
-    tile.add({row, f.col, f.kind});
+    tile.push_back({row, f.col, f.kind});
   }
 }
 
@@ -114,7 +116,7 @@ fault_injector region_fault_injector(std::vector<region_operating_point> points,
       regions.push_back(point.region);
     }
     std::uint32_t spare_base = checked_region_tile_rows(regions, geometry);
-    fault_map faults(geometry);
+    std::vector<fault> faults;
     // Regions draw in table order on the shared trial stream, so the
     // map is deterministic for a fixed seed regardless of scheduling.
     for (const region_operating_point& point : points) {
@@ -126,7 +128,7 @@ fault_injector region_fault_injector(std::vector<region_operating_point> points,
                           point.region, spare_base);
       spare_base += point.region.spare_rows;
     }
-    return faults;
+    return fault_map(geometry, std::move(faults));
   };
 }
 
@@ -139,7 +141,7 @@ fault_injector region_exact_fault_injector(std::vector<memory_region> regions,
   return [regions = std::move(regions), counts = std::move(counts),
           polarity](const array_geometry& geometry, rng& gen) {
     std::uint32_t spare_base = checked_region_tile_rows(regions, geometry);
-    fault_map faults(geometry);
+    std::vector<fault> faults;
     for (std::size_t r = 0; r < regions.size(); ++r) {
       const array_geometry sub{regions[r].rows() + regions[r].spare_rows,
                                geometry.width};
@@ -152,7 +154,7 @@ fault_injector region_exact_fault_injector(std::vector<memory_region> regions,
                           regions[r], spare_base);
       spare_base += regions[r].spare_rows;
     }
-    return faults;
+    return fault_map(geometry, std::move(faults));
   };
 }
 

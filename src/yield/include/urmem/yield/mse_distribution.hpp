@@ -54,10 +54,11 @@ struct mse_stratum {
 [[nodiscard]] std::vector<mse_stratum> mse_strata(
     const array_geometry& geometry, double pcell, const mse_cdf_config& config);
 
-/// Draws one exactly-`n`-fault map over `geometry` and evaluates Eq. (6)
-/// through the scheme — the per-trial kernel of compute_mse_cdf. Scratch
-/// buffers are thread-local, so concurrent calls (one rng per caller)
-/// are safe: this is the trial body the parallel campaign engine runs.
+/// Draws one exactly-`n`-fault map over `geometry`
+/// (sample_fault_map_exact) and evaluates Eq. (6) on it (analytic_mse) —
+/// the per-trial kernel of compute_mse_cdf. Scratch buffers are
+/// thread-local, so concurrent calls (one rng per caller) are safe: this
+/// is the trial body the parallel campaign engine runs.
 [[nodiscard]] double sample_mse(const protection_scheme& scheme,
                                 const array_geometry& geometry,
                                 std::uint64_t n, rng& gen);

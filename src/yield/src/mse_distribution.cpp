@@ -1,12 +1,12 @@
 #include "urmem/yield/mse_distribution.hpp"
 
-#include <algorithm>
-#include <unordered_set>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "urmem/common/binomial.hpp"
 #include "urmem/common/contracts.hpp"
+#include "urmem/memory/fault_sampler.hpp"
 
 namespace urmem {
 
@@ -31,36 +31,8 @@ std::vector<mse_stratum> mse_strata(const array_geometry& geometry,
 
 double sample_mse(const protection_scheme& scheme,
                   const array_geometry& geometry, std::uint64_t n, rng& gen) {
-  // Scratch is thread-local so concurrent campaign trials do not share
-  // state (each trial brings its own rng).
-  thread_local std::vector<std::uint64_t> cells;
-  thread_local std::vector<std::uint32_t> cols;
-  thread_local std::unordered_set<std::uint64_t> chosen;
-  cells.clear();
-  chosen.clear();
-  const std::uint64_t total = geometry.cells();
-  // Robert Floyd's distinct sampling.
-  for (std::uint64_t j = total - n; j < total; ++j) {
-    const std::uint64_t t = gen.uniform_below(j + 1);
-    const std::uint64_t pick = chosen.contains(t) ? j : t;
-    chosen.insert(pick);
-    cells.push_back(pick);
-  }
-  std::sort(cells.begin(), cells.end());
-
-  double total_cost = 0.0;
-  std::size_t i = 0;
-  while (i < cells.size()) {
-    const std::uint64_t row = cells[i] / geometry.width;
-    cols.clear();
-    while (i < cells.size() && cells[i] / geometry.width == row) {
-      cols.push_back(static_cast<std::uint32_t>(cells[i] % geometry.width));
-      ++i;
-    }
-    total_cost +=
-        scheme.worst_case_row_cost(static_cast<std::uint32_t>(row), cols);
-  }
-  return total_cost / static_cast<double>(geometry.rows);
+  // Flip faults draw no kind, so the rng stream is the bare Floyd draw.
+  return analytic_mse(scheme, sample_fault_map_exact(geometry, n, gen));
 }
 
 empirical_cdf compute_mse_cdf(const protection_scheme& scheme, std::uint32_t rows,
@@ -98,13 +70,15 @@ double mse_for_yield(const empirical_cdf& cdf, double yield_target) {
 }
 
 double analytic_mse(const protection_scheme& scheme, const fault_map& faults) {
+  // Thread-local scratch: sample_mse runs this once per campaign trial.
+  thread_local std::vector<std::uint32_t> cols;
   double total = 0.0;
-  std::vector<std::uint32_t> cols;
-  for (const std::uint32_t row : faults.faulty_rows()) {
-    cols.clear();
-    for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    total += scheme.worst_case_row_cost(row, cols);
-  }
+  for_each_faulty_row(faults.all_faults(),
+                      [&](std::uint32_t row, std::span<const fault> row_faults) {
+                        cols.clear();
+                        for (const fault& f : row_faults) cols.push_back(f.col);
+                        total += scheme.worst_case_row_cost(row, cols);
+                      });
   return total / static_cast<double>(faults.geometry().rows);
 }
 

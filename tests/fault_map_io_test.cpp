@@ -74,6 +74,31 @@ TEST(FaultMapIoTest, RejectsMalformedInput) {
   EXPECT_THROW((void)read_fault_map(missing_geometry), std::invalid_argument);
 }
 
+TEST(FaultMapIoTest, V1ReaderAgreesWithTimelineReader) {
+  // A v1 record carrying a v2 birth epoch is rejected by both readers
+  // (the v1 reader used to drop the epoch silently).
+  const std::string v1_with_epoch =
+      "urmem-faultmap v1\ngeometry 4 8\nfault 1 3 sa0 2\n";
+  std::istringstream as_v1(v1_with_epoch);
+  EXPECT_THROW((void)read_fault_map(as_v1), std::invalid_argument);
+  std::istringstream as_timeline(v1_with_epoch);
+  EXPECT_THROW((void)read_timeline_faults(as_timeline), std::invalid_argument);
+  // The v1 reader still refuses the v2 header outright.
+  std::istringstream v2("urmem-faultmap v2\ngeometry 4 8\nfault 1 3 sa0 2\n");
+  EXPECT_THROW((void)read_fault_map(v2), std::invalid_argument);
+}
+
+TEST(FaultMapIoTest, HeaderGeometryDoesNotSizeTheMap) {
+  // The map holds only the listed faults, so a huge declared geometry
+  // costs nothing (it used to allocate per row and throw bad_alloc).
+  std::istringstream in(
+      "urmem-faultmap v1\ngeometry 4000000000 32\nfault 3999999999 31 flip\n");
+  const fault_map map = read_fault_map(in);
+  EXPECT_EQ(map.geometry(), (array_geometry{4000000000u, 32}));
+  EXPECT_EQ(map.fault_count(), 1u);
+  EXPECT_EQ(map.corrupt(3999999999u, 0), word_t{1} << 31);
+}
+
 TEST(FaultMapIoTest, KindNamesRoundTrip) {
   for (const fault_kind kind :
        {fault_kind::stuck_at_zero, fault_kind::stuck_at_one, fault_kind::flip,

@@ -1,9 +1,10 @@
 // Property tests for the compiled fault-plane fast path: over randomized
 // fault maps covering all five fault_kinds, compiled-plane reads/writes
-// (single-word and batched row ops) must be bit-identical to the
-// per-cell reference walk and to fault_map's own mask path — including
-// transition faults across write sequences — and the batched APIs must
-// keep sram_array::access_count() at exactly one access per word.
+// (single-word and batched row ops) must be bit-identical to fault_map's
+// per-fault reference walk — including transition faults across write
+// sequences and planes recompiled in place over a run of different maps
+// — and the batched APIs must keep sram_array::access_count() at exactly
+// one access per word.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -40,7 +41,7 @@ std::vector<word_t> random_words(std::uint32_t count, unsigned width, rng& gen) 
   return out;
 }
 
-TEST(FaultPlaneTest, CompiledMatchesReferenceAndMaskPathOnReads) {
+TEST(FaultPlaneTest, CompiledMatchesReferenceOnReads) {
   rng gen(2024);
   for (int round = 0; round < 40; ++round) {
     const array_geometry geometry{
@@ -54,9 +55,8 @@ TEST(FaultPlaneTest, CompiledMatchesReferenceAndMaskPathOnReads) {
       const auto row =
           static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
       const word_t ideal = gen();  // deliberately unmasked input
-      const word_t expected = map.corrupt(row, ideal);
-      EXPECT_EQ(plane.corrupt(row, ideal & word_mask(geometry.width)), expected);
-      EXPECT_EQ(map.corrupt_reference(row, ideal), expected);
+      EXPECT_EQ(plane.corrupt(row, ideal & word_mask(geometry.width)),
+                map.corrupt(row, ideal));
     }
   }
 }
@@ -75,9 +75,8 @@ TEST(FaultPlaneTest, CompiledMatchesReferenceOnWrites) {
           static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
       const word_t old = gen();
       const word_t incoming = gen();
-      const word_t expected = map.apply_write(row, old, incoming);
-      EXPECT_EQ(plane.apply_write(row, old, incoming), expected);
-      EXPECT_EQ(map.apply_write_reference(row, old, incoming), expected);
+      EXPECT_EQ(plane.apply_write(row, old, incoming),
+                map.apply_write(row, old, incoming));
     }
   }
 }
@@ -140,7 +139,7 @@ TEST(FaultPlaneTest, MixedPolaritySamplerMapsCompileIdentically) {
   for (int i = 0; i < 2000; ++i) {
     const auto row = static_cast<std::uint32_t>(probe.uniform_below(512));
     const word_t ideal = probe() & word_mask(32);
-    EXPECT_EQ(plane.corrupt(row, ideal), map.corrupt_reference(row, ideal));
+    EXPECT_EQ(plane.corrupt(row, ideal), map.corrupt(row, ideal));
   }
 }
 
@@ -182,6 +181,73 @@ TEST(FaultPlaneTest, SetFaultsRecompilesThePlane) {
   array.set_faults(fault_map(geometry));  // back to clean
   EXPECT_EQ(array.read(3), 0xFFULL);
   EXPECT_TRUE(array.plane().rows_fault_free(0, 16));
+}
+
+TEST(FaultPlaneTest, InPlaceRecompileMatchesFreshArraysAndTheWalk) {
+  // One array receives a run of maps — dense, sparse, empty, dense — so
+  // every recompile must reset the rows the previous map made faulty.
+  // Rows 63 and 64 straddle a faulty-row bitmap word boundary.
+  rng gen(4242);
+  const array_geometry geometry{200, 32};
+  sram_array reused{fault_map(geometry)};
+  for (int round = 0; round < 3; ++round) {
+    for (const std::uint64_t count : {600ULL, 6ULL, 0ULL, 600ULL}) {
+      fault_map map = random_map(geometry, count, gen);
+      if (count != 0) {
+        map.add({63, static_cast<std::uint32_t>(gen.uniform_below(32)),
+                 kAllKinds[gen.uniform_below(5)]});
+        map.add({64, static_cast<std::uint32_t>(gen.uniform_below(32)),
+                 kAllKinds[gen.uniform_below(5)]});
+      }
+      reused.set_faults(map);
+      const sram_array fresh(map);
+      const fault_plane& plane = reused.plane();
+      ASSERT_EQ(plane.fault_count(), map.fault_count());
+      for (std::uint32_t row = 0; row < geometry.rows; ++row) {
+        ASSERT_EQ(plane.rows_fault_free(row, 1), !map.row_has_faults(row))
+            << "row " << row;
+        for (int probe = 0; probe < 4; ++probe) {
+          const word_t ideal = gen() & word_mask(32);
+          const word_t old = gen() & word_mask(32);
+          const word_t incoming = gen();
+          ASSERT_EQ(plane.corrupt(row, ideal), fresh.plane().corrupt(row, ideal))
+              << "row " << row;
+          ASSERT_EQ(plane.corrupt(row, ideal), map.corrupt(row, ideal))
+              << "row " << row;
+          ASSERT_EQ(plane.apply_write(row, old, incoming),
+                    fresh.plane().apply_write(row, old, incoming))
+              << "row " << row;
+          ASSERT_EQ(plane.apply_write(row, old, incoming),
+                    map.apply_write(row, old, incoming))
+              << "row " << row;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultPlaneTest, BulkConstructorEqualsSequentialAdd) {
+  rng gen(99);
+  for (int round = 0; round < 30; ++round) {
+    const array_geometry geometry{
+        static_cast<std::uint32_t>(1 + gen.uniform_below(8)),
+        static_cast<std::uint32_t>(1 + gen.uniform_below(8))};
+    // Few cells, many faults: most cells are listed more than once, with
+    // differing kinds, so the last-wins rule is exercised.
+    std::vector<fault> faults(gen.uniform_below(3 * geometry.cells() + 1));
+    for (fault& f : faults) {
+      f = {static_cast<std::uint32_t>(gen.uniform_below(geometry.rows)),
+           static_cast<std::uint32_t>(gen.uniform_below(geometry.width)),
+           kAllKinds[gen.uniform_below(5)]};
+    }
+    fault_map sequential(geometry);
+    for (const fault& f : faults) sequential.add(f);
+    const fault_map bulk(geometry, faults);
+    ASSERT_EQ(bulk.fault_count(), sequential.fault_count());
+    for (std::size_t i = 0; i < bulk.fault_count(); ++i) {
+      EXPECT_EQ(bulk.all_faults()[i], sequential.all_faults()[i]) << "fault " << i;
+    }
+  }
 }
 
 TEST(FaultPlaneTest, AccessCountIsOnePerWordUnderBatchedOps) {

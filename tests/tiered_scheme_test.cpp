@@ -1,7 +1,7 @@
 // Tests of the heterogeneous-reliability tier machinery: tiered_scheme
 // row routing and region-boundary block paths (block == scalar ==
 // reference, bit for bit), per-region spare pools and repair in
-// protected_memory, the zero-fault repair short-circuit regression, and
+// protected_memory, the zero-fault repair regression, and
 // the region-segmented fault injector.
 #include <gtest/gtest.h>
 
@@ -308,9 +308,9 @@ TEST(ProtectedMemory, RegionSparePoolsRepairIndependently) {
   EXPECT_EQ(memory.analytic_mse(16, 31), 0.0);
 }
 
-TEST(ProtectedMemory, ZeroFaultMapSkipsRepairAndKeepsAccounting) {
-  // Regression: spare_rows > 0 with a fault-free map used to run the
-  // whole repair pass anyway.
+TEST(ProtectedMemory, ZeroFaultMapLeavesNoRemapsAndKeepsAccounting) {
+  // spare_rows > 0 with a fault-free map: the repair walk finds nothing
+  // to fuse and touches no array row.
   const std::uint32_t rows = 16;
   protected_memory memory(rows, make_scheme_secded(), /*spare_rows=*/8);
   memory.set_fault_map(fault_map(memory.storage_geometry()));
@@ -322,7 +322,7 @@ TEST(ProtectedMemory, ZeroFaultMapSkipsRepairAndKeepsAccounting) {
   std::vector<word_t> readback(rows);
   memory.read_block(0, readback);
   EXPECT_EQ(readback, data);
-  // Access accounting is untouched by the (skipped) repair pass: one
+  // Access accounting is untouched by the repair pass: one
   // access per word per direction, nothing more.
   EXPECT_EQ(memory.array().access_count(), 2ull * rows);
 }
