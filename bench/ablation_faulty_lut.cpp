@@ -64,13 +64,14 @@ double empirical_mse(unsigned n_fm, double pcell, bool corrupt_lut, rng& gen) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("Ablation — faulty FM-LUT columns",
                 "DESIGN.md §2 (LUT robustness assumption of Sec. 3)");
 
   const double pcell = args.get_double("pcell", 1e-3);
   const auto trials = args.get_u64("trials", 200);
   rng gen(args.get_u64("seed", 5));
+  args.check_consumed();
 
   std::cout << "4096 x 32 array, Pcell = " << format_scientific(pcell, 2)
             << " for both data cells and (when enabled) LUT bits, "

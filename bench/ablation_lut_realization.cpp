@@ -13,11 +13,12 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("Ablation — FM-LUT realization: SRAM columns vs register file",
                 "Ganapathy et al., DAC'15, Sec. 5.1 (LUT realization remark)");
 
   const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
+  args.check_consumed();
   const overhead_model model(gate_library::fdsoi_28nm(),
                              sram_macro_model::fdsoi_28nm(),
                              array_geometry{rows, 32});

@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("Ablation — 64-bit data words",
                 "DESIGN.md §3 (width generalization; paper future work)");
 
@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   config.total_runs = args.get_u64("runs", 200'000);
   config.seed = args.get_u64("seed", 13);
   const double pcell = args.get_double("pcell", 5e-6);
+  args.check_consumed();
   const std::uint32_t rows = 2048;  // same 16 KB capacity at 64-bit words
 
   std::cout << "16KB as 2048 x 64, Pcell = " << format_scientific(pcell, 2)

@@ -1,5 +1,5 @@
 // Shared bench infrastructure:
-//  * arg_parser — minimal `--flag=value` parsing so the paper's full
+//  * parse_args — validated `--flag=value` parsing so the paper's full
 //    Monte-Carlo configuration stays one flag away from the fast default;
 //  * json_object / write_bench_json — machine-readable BENCH_<name>.json
 //    telemetry (wall time, throughput, config, git sha) that CI uploads
@@ -22,6 +22,8 @@
 #include <utility>
 #include <vector>
 
+#include "urmem/scenario/options.hpp"
+
 // Short git revision baked in at configure time (see bench/CMakeLists.txt).
 #ifndef URMEM_GIT_SHA
 #define URMEM_GIT_SHA "unknown"
@@ -29,53 +31,22 @@
 
 namespace urmem::bench {
 
-/// Parsed `--key=value` arguments.
-class arg_parser {
- public:
-  arg_parser(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  /// Value of `--name=...` as uint64, or `fallback` when absent.
-  [[nodiscard]] std::uint64_t get_u64(std::string_view name,
-                                      std::uint64_t fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? fallback : std::strtoull(value.c_str(), nullptr, 10);
-  }
-
-  /// Value of `--name=...` as double, or `fallback` when absent.
-  [[nodiscard]] double get_double(std::string_view name, double fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? fallback : std::strtod(value.c_str(), nullptr);
-  }
-
-  /// Value of `--name=...` verbatim, or `fallback` when absent.
-  [[nodiscard]] std::string get_string(std::string_view name,
-                                       std::string_view fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? std::string(fallback) : value;
-  }
-
-  /// True when `--name` (with or without value) is present.
-  [[nodiscard]] bool has(std::string_view name) const {
-    const std::string plain = "--" + std::string(name);
-    for (const auto& arg : args_) {
-      if (arg == plain || arg.starts_with(plain + "=")) return true;
+/// Loads `--key=value` arguments into an option_map. Its typed getters
+/// reject malformed values and name the flag (`--runs=2e5` reads as
+/// 200000); call check_consumed() after the last read, so a misspelled
+/// flag fails instead of silently running the default.
+inline option_map parse_args(int argc, char** argv) {
+  option_map args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    const std::size_t eq = arg.find('=');
+    if (!arg.starts_with("--") || eq == std::string_view::npos) {
+      throw spec_error(std::string(arg), "expected --flag=value");
     }
-    return false;
+    args.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
   }
-
- private:
-  [[nodiscard]] std::string raw(std::string_view name) const {
-    const std::string prefix = "--" + std::string(name) + "=";
-    for (const auto& arg : args_) {
-      if (arg.starts_with(prefix)) return arg.substr(prefix.size());
-    }
-    return {};
-  }
-
-  std::vector<std::string> args_;
-};
+  return args;
+}
 
 /// Prints the standard bench banner.
 inline void banner(std::string_view title, std::string_view paper_ref) {

@@ -11,11 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("Fig. 2 — SRAM cell failure probability vs supply voltage",
                 "Ganapathy et al., DAC'15, Fig. 2 / Sec. 2");
 
   const auto model = cell_failure_model::default_28nm(args.get_u64("seed", 1));
+  args.check_consumed();
   const std::uint64_t cells = geometry_16kb_x32().cells();
 
   console_table table({"VDD [V]", "Pcell", "16KB zero-failure yield",

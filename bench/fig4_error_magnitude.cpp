@@ -10,8 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   const auto width = static_cast<unsigned>(args.get_u64("width", 32));
+  args.check_consumed();
   bench::banner("Fig. 4 — error magnitude per faulty bit position",
                 "Ganapathy et al., DAC'15, Fig. 4");
 

@@ -11,11 +11,12 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("Fig. 6 — hardware overhead relative to H(39,32) SECDED",
                 "Ganapathy et al., DAC'15, Fig. 6 / Sec. 5.1");
 
   const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
+  args.check_consumed();
   const overhead_model model(gate_library::fdsoi_28nm(),
                              sram_macro_model::fdsoi_28nm(),
                              array_geometry{rows, 32});

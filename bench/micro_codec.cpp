@@ -180,13 +180,14 @@ bool verify_block_equals_reference(protection_scheme& scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("micro_codec — protection codec throughput",
                 "encode/decode cost behind the Fig. 5 / Fig. 7 campaigns");
 
   const std::uint64_t seed = args.get_u64("seed", 1);
   const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
   const double min_ms = args.get_double("min-time-ms", 200.0);
+  args.check_consumed();
   expects(rows >= 1, "--rows must be at least 1");
 
   // ---------------------------------------------------- self-verification

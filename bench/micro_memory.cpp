@@ -79,7 +79,7 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
   bench::banner("micro_memory — fault-plane fast path vs per-fault oracle",
                 "hot loop of the Fig. 5 / Fig. 7 Monte-Carlo campaigns");
 
@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   const double pcell = args.get_double("pcell", 5e-2);
   const std::uint64_t seed = args.get_u64("seed", 1);
   const double min_ms = args.get_double("min-time-ms", 200.0);
+  args.check_consumed();
 
   const array_geometry geometry{rows, width};
   rng gen(seed);

@@ -16,13 +16,14 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  bench::arg_parser args(argc, argv);
+  const auto args = bench::parse_args(argc, argv);
 
   const std::uint64_t rows = args.get_u64("rows", 4096);
   const std::uint64_t requests = args.get_u64("requests", 200000);
   const std::uint64_t per_epoch = args.get_u64("requests-per-epoch", 20000);
   const std::uint64_t clients = args.get_u64("clients", 4);
   const std::uint64_t seed = args.get_u64("seed", 1);
+  args.check_consumed();
 
   bench::banner("micro_serve: concurrent serving tier, live fault lifecycle",
                 "serving-mode subsystem (urmem-serve)");

@@ -63,8 +63,11 @@ class json_value {
   [[nodiscard]] static json_value make_array() { json_value v; v.kind_ = kind::array; return v; }
   [[nodiscard]] static json_value make_object() { json_value v; v.kind_ = kind::object; return v; }
 
-  /// Parses one JSON document (surrounding whitespace allowed; trailing
-  /// garbage rejected). Throws json_parse_error.
+  /// Deepest array/object nesting parse() accepts (bounds its stack).
+  static constexpr std::size_t max_nesting_depth = 512;
+
+  /// Parses one RFC 8259 JSON document (surrounding whitespace allowed;
+  /// trailing garbage rejected). Throws json_parse_error.
   [[nodiscard]] static json_value parse(std::string_view text);
 
   [[nodiscard]] kind type() const noexcept { return kind_; }

@@ -80,8 +80,13 @@ class parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > json_value::max_nesting_depth) fail("nesting too deep");
+        json_value value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return json_value(parse_string());
       case 't':
         if (consume_literal("true")) return json_value(true);
@@ -193,20 +198,27 @@ class parser {
     }
   }
 
+  /// Consumes a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t start = pos_;
+    pos_ = text_.find_first_not_of("0123456789", pos_);
+    if (pos_ == std::string_view::npos) pos_ = text_.size();
+    return pos_ != start;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   json_value parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == '+' || c == '-' || c == 'e' ||
-          c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
+    consume_literal("-");
+    const std::size_t int_start = pos_;
+    bool valid = digits() && (text_[int_start] != '0' || pos_ == int_start + 1);
+    if (valid && consume_literal(".")) valid = digits();
+    if (valid && (consume_literal("e") || consume_literal("E"))) {
+      if (!consume_literal("+")) consume_literal("-");
+      valid = digits();
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
+    if (!valid) fail("invalid number \"" + std::string(token) + "\"");
 
     const bool integral = token.find_first_of(".eE") == std::string_view::npos;
     if (integral) {
@@ -238,6 +250,7 @@ class parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 void dump_string(std::string& out, const std::string& text) {

@@ -70,10 +70,6 @@ struct scenario_report {
   json_value spec;  ///< normalized base spec (echoed for provenance)
   std::vector<scenario_point_result> points;
   std::uint64_t total_trials = 0;
-  /// Resolved campaign worker count; 0 when no workload spawned a pool
-  /// (analytic/fixture-only runs) — the ground truth bench telemetry
-  /// reports instead of re-deriving the resolution policy.
-  unsigned campaign_threads = 0;
   /// Points actually executed this run vs. loaded from checkpoint
   /// files (not serialized; run logs and resume tests read these).
   std::uint64_t executed_points = 0;
@@ -97,8 +93,8 @@ class scenario_runner {
   [[nodiscard]] std::uint64_t grid_size() const noexcept;
 
   /// Runs every grid point in order, streaming each point's text report
-  /// to `text_out` (single-point runs print the bare workload text, so
-  /// the legacy figure binaries stay byte-identical).
+  /// to `text_out` (single-point runs print the bare workload text, with
+  /// no point header).
   [[nodiscard]] scenario_report run(std::ostream& text_out) const;
 
   /// Same, restricted to `options.shard`'s grid points, with optional

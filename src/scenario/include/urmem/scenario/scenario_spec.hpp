@@ -7,9 +7,8 @@
 // axes, and run parameters. Specs round-trip through JSON
 // (to_json/from_json) with diagnostics that name the offending field
 // for unknown keys and out-of-range values, and accept dotted
-// `key=value` CLI overrides — the `urmem-run` driver and the thin
-// figure-bench wrappers are both just "build a spec, hand it to
-// scenario_runner".
+// `key=value` CLI overrides — the `urmem-run` driver is just "build a
+// spec, hand it to scenario_runner".
 //
 // JSON schema (all sections optional; defaults shown):
 //

@@ -3,10 +3,9 @@
 // A workload turns one resolved scenario point into results: it
 // instantiates the spec's schemes through the scheme_registry, runs its
 // experiment on the shared campaign pool, and returns both a
-// human-readable text report (the exact stdout body the legacy figure
-// binaries printed — those binaries are now thin wrappers over this
-// API) and a deterministic JSON aggregate that scenario reports and CI
-// goldens consume.
+// human-readable text report (what `urmem-run` prints to stdout) and a
+// deterministic JSON aggregate that scenario reports and CI goldens
+// consume.
 //
 // Built-ins: fig5-mse, fig7-quality, table1-apps, psnr-image,
 // ml-quality, bist-march, redundancy-yield, multifault-policy.
@@ -47,11 +46,6 @@ class campaign_pool {
   /// The pool, spawned on first use (prints the "campaign threads"
   /// scheduling diagnostic to stderr exactly once, on spawn).
   [[nodiscard]] campaign_runner& runner();
-
-  /// Resolved worker count of the spawned pool; 0 while unspawned.
-  [[nodiscard]] unsigned spawned_threads() const noexcept {
-    return runner_.has_value() ? runner_->threads() : 0;
-  }
 
  private:
   campaign_config config_;

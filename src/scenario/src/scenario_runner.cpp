@@ -1,6 +1,5 @@
 #include "urmem/scenario/scenario_runner.hpp"
 
-#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -174,8 +173,6 @@ scenario_report scenario_runner::run(std::ostream& text_out,
 
     point.output = job->run(point_spec, *pool);
     report.total_trials += point.output.trials;
-    report.campaign_threads =
-        std::max(report.campaign_threads, pool->spawned_threads());
     ++report.executed_points;
     // Publish before the budget check: a killed-or-budgeted shard keeps
     // every point it finished.

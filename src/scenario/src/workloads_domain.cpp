@@ -1,7 +1,6 @@
 // Built-in domain-scenario and ablation workloads: PSNR image storage,
 // single-application ML quality, BIST march coverage, spare-row
-// redundancy economics and the multi-fault shift-policy ablation. The
-// former example/ablation binaries are thin wrappers over these.
+// redundancy economics and the multi-fault shift-policy ablation.
 #include <cmath>
 #include <iostream>
 #include <memory>

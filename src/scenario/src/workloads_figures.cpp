@@ -1,9 +1,6 @@
 // Built-in workloads reproducing the paper's figure/table experiments.
-// The text bodies here are the exact stdout the legacy hand-wired
-// binaries printed — those binaries are now thin wrappers that build a
-// scenario_spec and print this text after their banner, so their output
-// stays byte-identical at fixed seeds while every experiment becomes
-// reachable from `urmem-run` and sweepable from spec files.
+// Each text body is what `urmem-run` prints; it is byte-stable at fixed
+// seeds, and every experiment is sweepable from spec files.
 #include <algorithm>
 #include <cctype>
 #include <cmath>

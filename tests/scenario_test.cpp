@@ -5,7 +5,11 @@
 // redundancy in protected_memory).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "urmem/common/json.hpp"
 #include "urmem/common/rng.hpp"
@@ -456,32 +460,6 @@ TEST(ScenarioSpec, SweepPathsValidateAtParseTime) {
   EXPECT_EQ(spec.sweep.size(), 1u);
 }
 
-// ------------------------------------------------------------ json layer
-
-TEST(Json, ParseDumpRoundTrip) {
-  const json_value doc = json_value::parse(
-      R"({"a": 1, "b": [true, null, 2.5, "x\n"], "c": {"d": 1e-3}})");
-  const json_value again = json_value::parse(doc.dump());
-  EXPECT_TRUE(doc == again);
-  EXPECT_EQ(doc.find("a")->as_u64(), 1u);
-  EXPECT_DOUBLE_EQ(doc.find("c")->find("d")->as_double(), 1e-3);
-}
-
-TEST(Json, ParseErrorsCarryPosition) {
-  try {
-    (void)json_value::parse("{\n  \"a\": nope\n}");
-    FAIL() << "expected json_parse_error";
-  } catch (const json_parse_error& error) {
-    EXPECT_EQ(error.line(), 2u);
-  }
-}
-
-TEST(Json, IntegersRoundTripExactly) {
-  const json_value doc = json_value::parse(R"({"seed": 18446744073709551615})");
-  EXPECT_EQ(doc.find("seed")->as_u64(), 18446744073709551615ull);
-  EXPECT_NE(doc.dump().find("18446744073709551615"), std::string::npos);
-}
-
 // ----------------------------------------------------- sweep-grid runner
 
 TEST(ScenarioRunner, ExpandsSweepGridsInOrder) {
@@ -518,6 +496,31 @@ TEST(ScenarioRunner, ValidatesNamesEagerly) {
   scenario_spec bad_scheme = scenario_spec::parse_text(
       R"({"workload": "bist-march", "schemes": ["no-such-scheme"]})");
   EXPECT_THROW(scenario_runner{bad_scheme}, spec_error);
+}
+
+// Every spec under scenarios/ parses, and each one that names a workload
+// resolves its schemes and workload eagerly (no trial runs), so a spec
+// nothing else loads cannot rot unnoticed.
+TEST(ScenarioRunner, EveryCheckedInSpecValidates) {
+  std::vector<std::filesystem::path> specs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(URMEM_SCENARIO_DIR)) {
+    if (entry.path().extension() == ".json") specs.push_back(entry.path());
+  }
+  std::sort(specs.begin(), specs.end());
+  ASSERT_GE(specs.size(), 12u);
+  for (const auto& path : specs) {
+    SCOPED_TRACE(path.string());
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      const scenario_spec spec = scenario_spec::parse_text(text.str());
+      if (!spec.workload.name.empty()) (void)scenario_runner(spec);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << error.what();
+    }
+  }
 }
 
 // ----------------------------------------------- stacked shuffle+ECC scheme
