@@ -2,7 +2,13 @@
 // metrics, and the three benchmark algorithms of Table 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/common/stats.hpp"
@@ -12,6 +18,7 @@
 #include "urmem/ml/metrics.hpp"
 #include "urmem/ml/pca.hpp"
 #include "urmem/ml/preprocessing.hpp"
+#include "urmem/sim/applications.hpp"
 
 namespace urmem {
 namespace {
@@ -326,6 +333,146 @@ TEST(KnnTest, RejectsMisuse) {
   model.fit(x, {0, 1, 0, 1, 0, 1});
   const std::vector<double> bad_dim{1.0};
   EXPECT_THROW((void)model.predict_one(bad_dim), std::invalid_argument);
+}
+
+// Brute-force kNN oracle: every (d^2, training index) pair fully
+// sorted, then a majority vote over the first k with ties toward the
+// smaller label. d^2 sums 0 + d0^2 + d1^2 + ... like the classifier.
+int oracle_knn(const matrix& train, const std::vector<int>& labels,
+               std::size_t k, std::span<const double> query) {
+  std::vector<std::pair<double, std::size_t>> pairs;
+  for (std::size_t i = 0; i < train.rows(); ++i) {
+    double d2 = 0.0;
+    for (std::size_t j = 0; j < train.cols(); ++j) {
+      const double d = train(i, j) - query[j];
+      d2 += d * d;
+    }
+    pairs.emplace_back(d2, i);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  std::map<int, std::size_t> votes;
+  for (std::size_t i = 0; i < k; ++i) ++votes[labels[pairs[i].second]];
+  int best_label = votes.begin()->first;
+  std::size_t best_count = 0;
+  for (const auto& [label, count] : votes) {
+    if (count > best_count) {
+      best_count = count;
+      best_label = label;
+    }
+  }
+  return best_label;
+}
+
+// Small-integer coordinates make every distance exact, so equal
+// distances are genuine ties; the tiny coordinate range forces
+// duplicated rows, several under different labels.
+void expect_knn_matches_oracle(const matrix& train,
+                               const std::vector<int>& labels,
+                               const matrix& queries) {
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{5},
+                              train.rows()}) {
+    knn_classifier model(k);
+    model.fit(train, labels);
+    const std::vector<int> predicted = model.predict(queries);
+    ASSERT_EQ(predicted.size(), queries.rows());
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      EXPECT_EQ(predicted[q], oracle_knn(train, labels, k, queries.row(q)))
+          << "k=" << k << " query " << q;
+      EXPECT_EQ(model.predict_one(queries.row(q)), predicted[q])
+          << "k=" << k << " query " << q;
+    }
+    // Queries sitting exactly on training rows (distance 0 to the row and
+    // to each of its duplicates).
+    const std::vector<int> on_rows = model.predict(train);
+    for (std::size_t r = 0; r < train.rows(); ++r) {
+      EXPECT_EQ(on_rows[r], oracle_knn(train, labels, k, train.row(r)))
+          << "k=" << k << " training row " << r;
+      EXPECT_EQ(model.predict_one(train.row(r)), on_rows[r])
+          << "k=" << k << " training row " << r;
+    }
+  }
+}
+
+TEST(KnnTest, TiesBreakByTrainingIndexLikeFullSortOracle) {
+  // Hand-made: rows 0/1 and 3/4 are duplicates under different labels;
+  // the query at 0.5 is equidistant from rows 0-4.
+  matrix train(7, 1);
+  const double xs[] = {0.0, 0.0, 1.0, 1.0, 1.0, 3.0, -2.0};
+  for (std::size_t i = 0; i < 7; ++i) train(i, 0) = xs[i];
+  const std::vector<int> labels{2, 0, 1, 2, 0, 1, 0};
+  matrix queries(5, 1);
+  const double qs[] = {0.5, 0.0, 1.0, 2.0, -1.0};
+  for (std::size_t i = 0; i < 5; ++i) queries(i, 0) = qs[i];
+  expect_knn_matches_oracle(train, labels, queries);
+
+  // Randomized: 3-D points on a {-1, 0, 1} grid, labels 0..3.
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    rng gen(seed);
+    const std::size_t n = 9 + seed % 5;
+    matrix x(n, 3);
+    std::vector<int> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        x(i, j) = static_cast<double>(gen() % 3) - 1.0;
+      }
+      y[i] = static_cast<int>(gen() % 4);
+    }
+    matrix q(20, 3);
+    for (std::size_t i = 0; i < 20; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) {
+        q(i, j) = static_cast<double>(gen() % 5) - 2.0;
+      }
+    }
+    expect_knn_matches_oracle(x, y, q);
+  }
+}
+
+// -------------------------------------------------------- output bits
+
+// Deterministic stand-in for a faulty memory: about a third of the
+// entries take an error of +-2^(b-16), b < 20, the magnitude of a fault
+// at bit b of a Q15.16 word (Eq. (6)). Dense enough that every Table 1
+// metric moves off its clean value. Only integer draws, so no libm.
+matrix corrupted_copy(const matrix& clean, std::uint64_t seed) {
+  matrix out = clean;
+  rng gen(seed);
+  for (double& v : out.data()) {
+    if (gen() % 3 != 0) continue;
+    const int bit = static_cast<int>(gen() % 20);
+    v += ((gen() & 1U) != 0 ? 1.0 : -1.0) * std::ldexp(1.0, bit - 16);
+  }
+  return out;
+}
+
+// The exact 64-bit results of each Table 1 application (seed 7) on its
+// clean training features and on one corrupted copy. The constants were
+// recorded before the ML kernels were optimized; any change to a
+// kernel's rounding or tie-breaking moves them. They are tied to the
+// host's libm like the fig7 golden (the data generators call log/cos).
+TEST(MlOutputBitsTest, TableOneApplicationsAreBitPinned) {
+  struct pinned {
+    const char* app;
+    std::uint64_t clean;
+    std::uint64_t corrupted;
+  };
+  const pinned expected[] = {
+      {"elasticnet", 0x3fea90bee577be24ULL, 0x3fe50053c23c4e00ULL},
+      {"pca", 0x3fd562a68602984eULL, 0x3fd3184eaf0729dcULL},
+      {"knn", 0x3febd70a3d70a3d7ULL, 0x3feb851eb851eb85ULL},
+  };
+  for (const pinned& e : expected) {
+    const auto app = make_application(e.app, 7);
+    ASSERT_NE(app, nullptr);
+    const std::uint64_t clean =
+        std::bit_cast<std::uint64_t>(app->evaluate(app->train_features()));
+    const matrix stored =
+        corrupted_copy(app->train_features(), 0x6d6c62697473ULL);
+    const std::uint64_t corrupted =
+        std::bit_cast<std::uint64_t>(app->evaluate(stored));
+    EXPECT_EQ(clean, e.clean) << e.app << " clean: 0x" << std::hex << clean;
+    EXPECT_EQ(corrupted, e.corrupted)
+        << e.app << " corrupted: 0x" << std::hex << corrupted;
+  }
 }
 
 }  // namespace
