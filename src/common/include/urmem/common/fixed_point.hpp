@@ -21,7 +21,9 @@ class fixed_point_codec {
   /// `width` total bits (2..64) including the sign bit; `frac_bits`
   /// fractional bits (0 <= frac_bits < width).
   fixed_point_codec(unsigned width, unsigned frac_bits)
-      : width_(width), frac_bits_(frac_bits) {
+      : width_(width),
+        frac_bits_(frac_bits),
+        resolution_(std::ldexp(1.0, -static_cast<int>(frac_bits))) {
     expects(width >= 2 && width <= max_word_width, "fixed-point width must be 2..64");
     expects(frac_bits < width, "fractional bits must leave room for the sign");
   }
@@ -44,13 +46,13 @@ class fixed_point_codec {
     return static_cast<double>(min_raw()) / scale();
   }
 
-  /// Quantization step.
-  [[nodiscard]] constexpr double resolution() const { return 1.0 / scale(); }
+  /// Quantization step 2^-frac_bits (exact).
+  [[nodiscard]] constexpr double resolution() const { return resolution_; }
 
   /// Encodes `value` into a `width`-bit two's-complement word
-  /// (round-to-nearest, saturating).
+  /// (round-to-nearest, ties to even, saturating).
   [[nodiscard]] word_t encode(double value) const {
-    const double scaled = std::nearbyint(value * scale());
+    const double scaled = round_half_even(value * scale());
     std::int64_t raw;
     if (scaled >= static_cast<double>(max_raw())) {
       raw = max_raw();
@@ -63,11 +65,25 @@ class fixed_point_codec {
   }
 
   /// Decodes a `width`-bit two's-complement word back to a double.
+  /// Scaling by a power of two is exact, so multiplying by 2^-frac_bits
+  /// equals dividing by scale() bit for bit.
   [[nodiscard]] constexpr double decode(word_t stored) const {
-    return static_cast<double>(to_signed(stored, width_)) / scale();
+    return static_cast<double>(to_signed(stored, width_)) * resolution_;
   }
 
  private:
+  /// std::nearbyint under the default rounding mode, without the libm
+  /// call: below 2^52, adding and subtracting 2^52 rounds |x| to an
+  /// integer with ties to even; at or above it every double is already
+  /// an integer (NaN passes through). copysign keeps -0.0 for small
+  /// negative inputs, as nearbyint does.
+  [[nodiscard]] static double round_half_even(double x) {
+    constexpr double two52 = 0x1p52;
+    const double magnitude = std::abs(x);
+    if (!(magnitude < two52)) return x;
+    return std::copysign((magnitude + two52) - two52, x);
+  }
+
   [[nodiscard]] constexpr std::int64_t max_raw() const {
     return static_cast<std::int64_t>(word_mask(width_ - 1));
   }
@@ -75,6 +91,7 @@ class fixed_point_codec {
 
   unsigned width_;
   unsigned frac_bits_;
+  double resolution_;  // 2^-frac_bits
 };
 
 }  // namespace urmem

@@ -4,20 +4,26 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "urmem/ml/matrix.hpp"
 
 namespace urmem {
 
-/// Brute-force Euclidean KNN with majority vote (ties break toward the
-/// smaller label, matching scikit-learn's deterministic behaviour).
+/// Brute-force Euclidean KNN with majority vote. The k nearest are the
+/// first k training rows in (squared distance, training index) order,
+/// so equal distances break toward the smaller training index; vote
+/// ties break toward the smaller label (scikit-learn's deterministic
+/// behaviour). The training set is stored column-major (one contiguous
+/// run per feature), and each squared distance sums its per-feature
+/// terms in feature order.
 class knn_classifier {
  public:
   /// `k` neighbors considered per query.
   explicit knn_classifier(std::size_t k = 5);
 
-  /// Stores the training set (n x p features, n labels).
+  /// Stores the training set (n x p features, n labels), transposed.
   void fit(matrix x, std::vector<int> labels);
 
   /// Predicted label of one query row.
@@ -30,8 +36,18 @@ class knn_classifier {
   [[nodiscard]] double score(const matrix& x, const std::vector<int>& labels) const;
 
  private:
+  /// Per-query working storage, reused across the rows of predict().
+  struct query_buffers {
+    std::vector<double> distances;  // squared, one per training row
+    std::vector<std::pair<double, std::size_t>> nearest;  // (d^2, row)
+    std::vector<int> votes;  // labels of `nearest`, sorted
+  };
+
+  [[nodiscard]] int predict_one(std::span<const double> query,
+                                query_buffers& buffers) const;
+
   std::size_t k_;
-  matrix train_;
+  matrix train_by_feature_;  // p x n: row j is feature j of every training row
   std::vector<int> labels_;
 };
 

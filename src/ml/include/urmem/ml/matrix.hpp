@@ -8,7 +8,11 @@
 
 namespace urmem {
 
-/// Dense matrix of doubles, row-major storage.
+/// Dense matrix of doubles, row-major storage: element (r, c) lives at
+/// data()[r * cols() + c], so row(r) is contiguous and a column is
+/// strided. Kernels that sweep columns (kNN distances, elastic-net
+/// coordinate descent, Jacobi eigenvectors) keep a transposed copy,
+/// whose rows are the original columns.
 class matrix {
  public:
   matrix() = default;
@@ -61,7 +65,10 @@ class matrix {
 void center_columns(matrix& a, std::span<const double> means);
 
 /// Sample covariance (n-1 denominator) of the columns of `a`;
-/// `a` is centered internally, the input is not modified.
+/// `a` is centered internally, the input is not modified. Each entry
+/// sums its row terms in ascending row order (four rows per pass over
+/// the upper triangle), skipping rows whose multiplier is zero, then
+/// divides once and mirrors into the lower triangle.
 [[nodiscard]] matrix covariance(const matrix& a);
 
 /// Squared Frobenius norm.

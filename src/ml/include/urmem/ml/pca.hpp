@@ -12,7 +12,7 @@ namespace urmem {
 
 /// Symmetric eigendecomposition by the cyclic Jacobi method.
 /// Returns eigenvalues (descending) and matching eigenvectors as the
-/// columns of `vectors`.
+/// columns of `vectors` (p x p, row-major like every matrix).
 struct eigen_decomposition {
   std::vector<double> values;
   matrix vectors;
@@ -21,11 +21,15 @@ struct eigen_decomposition {
 /// Decomposes a symmetric matrix `a`; sweeps until the off-diagonal
 /// Frobenius mass drops below `tol` (relative) or `max_sweeps` is hit.
 /// Jacobi converges quadratically, so the tight default costs at most a
-/// sweep or two over a loose one.
+/// sweep or two over a loose one. The working copy of `a` is kept in
+/// full (both triangles, rotated row- and column-wise in the classic
+/// order), and the eigenvectors accumulate as rows of V^T so each
+/// rotation updates contiguous memory; the result is transposed back.
 [[nodiscard]] eigen_decomposition jacobi_eigen(const matrix& a, double tol = 1e-24,
                                                std::size_t max_sweeps = 64);
 
-/// PCA fitted on the covariance of the training features.
+/// PCA fitted on the covariance of the training features: the
+/// components are the top-k Jacobi eigenvectors of covariance(x).
 class pca {
  public:
   /// Keeps the top `n_components` principal directions.

@@ -31,21 +31,24 @@ void elasticnet::fit(const matrix& x, const std::vector<double>& y) {
   const std::size_t p = x.cols();
   const double n_d = static_cast<double>(n);
 
-  // Center features and targets; the intercept absorbs the means.
+  // Center features and targets; the intercept absorbs the means. The
+  // centered features are kept column-major (row j of xt is feature j),
+  // so the per-feature sweeps below run over contiguous memory.
   const std::vector<double> x_means = column_means(x);
-  matrix xc = x;
-  center_columns(xc, x_means);
+  matrix xt(p, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < p; ++j) xt(j, i) = x(i, j) - x_means[j];
+  }
   double y_mean = 0.0;
   for (const double v : y) y_mean += v;
   y_mean /= n_d;
 
   // Per-feature mean squared norms z_j = (1/n) sum_i x_ij^2.
   std::vector<double> z(p, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = xc.row(i);
-    for (std::size_t j = 0; j < p; ++j) z[j] += row[j] * row[j];
+  for (std::size_t j = 0; j < p; ++j) {
+    for (const double v : xt.row(j)) z[j] += v * v;
+    z[j] /= n_d;
   }
-  for (double& v : z) v /= n_d;
 
   coef_.assign(p, 0.0);
   std::vector<double> residual(n);
@@ -62,14 +65,15 @@ void elasticnet::fit(const matrix& x, const std::vector<double>& y) {
       if (z[j] == 0.0) continue;  // constant (centered-to-zero) feature
       // rho = (1/n) sum_i x_ij * (r_i + x_ij * w_j): the correlation of
       // feature j with the residual that excludes its own contribution.
+      const auto xj = xt.row(j);
       double rho = 0.0;
-      for (std::size_t i = 0; i < n; ++i) rho += xc(i, j) * residual[i];
+      for (std::size_t i = 0; i < n; ++i) rho += xj[i] * residual[i];
       rho = rho / n_d + z[j] * coef_[j];
 
       const double updated = soft_threshold(rho, l1) / (z[j] + l2);
       const double delta = updated - coef_[j];
       if (delta != 0.0) {
-        for (std::size_t i = 0; i < n; ++i) residual[i] -= delta * xc(i, j);
+        for (std::size_t i = 0; i < n; ++i) residual[i] -= delta * xj[i];
         coef_[j] = updated;
         max_delta = std::max(max_delta, std::abs(delta));
       }

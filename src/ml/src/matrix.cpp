@@ -57,18 +57,48 @@ matrix covariance(const matrix& a) {
   expects(a.rows() >= 2, "covariance needs at least two rows");
   matrix centered = a;
   center_columns(centered, column_means(a));
-  matrix cov(a.cols(), a.cols(), 0.0);
-  for (std::size_t i = 0; i < centered.rows(); ++i) {
-    const auto row = centered.row(i);
-    for (std::size_t p = 0; p < a.cols(); ++p) {
-      const double v = row[p];
-      if (v == 0.0) continue;
-      for (std::size_t q = p; q < a.cols(); ++q) cov(p, q) += v * row[q];
+  const std::size_t n = centered.rows();
+  const std::size_t cols = a.cols();
+  matrix cov(cols, cols, 0.0);
+  // Upper triangle, row terms added in ascending row order; a row whose
+  // multiplier centered(i, p) is zero adds nothing. Four rows per pass
+  // when none of their multipliers is zero, so each cov(p, q) is loaded
+  // and stored once per four terms; storing between terms would round
+  // identically, so the two paths agree bit for bit.
+  const auto add_row = [&](std::size_t r, std::size_t p) {
+    const double v = centered(r, p);
+    if (v == 0.0) return;
+    const auto row = centered.row(r);
+    const auto out = cov.row(p);
+    for (std::size_t q = p; q < cols; ++q) out[q] += v * row[q];
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const auto r0 = centered.row(i);
+    const auto r1 = centered.row(i + 1);
+    const auto r2 = centered.row(i + 2);
+    const auto r3 = centered.row(i + 3);
+    for (std::size_t p = 0; p < cols; ++p) {
+      const double v0 = r0[p];
+      const double v1 = r1[p];
+      const double v2 = r2[p];
+      const double v3 = r3[p];
+      if (v0 == 0.0 || v1 == 0.0 || v2 == 0.0 || v3 == 0.0) {
+        for (std::size_t r = i; r < i + 4; ++r) add_row(r, p);
+        continue;
+      }
+      const auto out = cov.row(p);
+      for (std::size_t q = p; q < cols; ++q) {
+        out[q] = out[q] + v0 * r0[q] + v1 * r1[q] + v2 * r2[q] + v3 * r3[q];
+      }
     }
   }
-  const double denom = static_cast<double>(a.rows() - 1);
-  for (std::size_t p = 0; p < a.cols(); ++p) {
-    for (std::size_t q = p; q < a.cols(); ++q) {
+  for (; i < n; ++i) {
+    for (std::size_t p = 0; p < cols; ++p) add_row(i, p);
+  }
+  const double denom = static_cast<double>(n - 1);
+  for (std::size_t p = 0; p < cols; ++p) {
+    for (std::size_t q = p; q < cols; ++q) {
       cov(p, q) /= denom;
       cov(q, p) = cov(p, q);
     }

@@ -12,8 +12,12 @@ eigen_decomposition jacobi_eigen(const matrix& a, double tol, std::size_t max_sw
   expects(a.rows() == a.cols() && a.rows() >= 1, "jacobi needs a square matrix");
   const std::size_t p = a.rows();
   matrix m = a;
-  matrix v(p, p, 0.0);
-  for (std::size_t i = 0; i < p; ++i) v(i, i) = 1.0;
+  // Eigenvectors accumulate as the rows of vt (V transposed), so each
+  // rotation updates two contiguous rows.
+  matrix vt(p, p, 0.0);
+  for (std::size_t i = 0; i < p; ++i) vt(i, i) = 1.0;
+
+  std::vector<double> col_i(p);
 
   const double total_scale = std::max(frobenius_norm_squared(a), 1e-300);
 
@@ -25,10 +29,14 @@ eigen_decomposition jacobi_eigen(const matrix& a, double tol, std::size_t max_sw
     if (off / total_scale < tol) break;
 
     for (std::size_t i = 0; i < p; ++i) {
+      // Every rotation (i, j) of this pass updates column i of m, so the
+      // column is held contiguously in col_i until the pass ends; the
+      // stored copy is stale meanwhile.
+      for (std::size_t k = 0; k < p; ++k) col_i[k] = m(k, i);
       for (std::size_t j = i + 1; j < p; ++j) {
         const double apq = m(i, j);
         if (apq == 0.0) continue;
-        const double app = m(i, i);
+        const double app = col_i[i];
         const double aqq = m(j, j);
         // Classic Jacobi rotation choosing the smaller-angle root.
         const double theta = (aqq - app) / (2.0 * apq);
@@ -37,25 +45,40 @@ eigen_decomposition jacobi_eigen(const matrix& a, double tol, std::size_t max_sw
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
+        // Columns i and j, then rows i and j: the two-sided rotation in
+        // its usual order, element by element.
         for (std::size_t k = 0; k < p; ++k) {
-          const double mki = m(k, i);
+          const double mki = col_i[k];
           const double mkj = m(k, j);
-          m(k, i) = c * mki - s * mkj;
+          col_i[k] = c * mki - s * mkj;
           m(k, j) = s * mki + c * mkj;
         }
+        // The rows' column-i entries live in col_i: the pass over the
+        // stored rows fills their stale slots, the live pair is rotated
+        // on its own.
+        const double mii = col_i[i];
+        const double mji = col_i[j];
+        const auto mi = m.row(i);
+        const auto mj = m.row(j);
         for (std::size_t k = 0; k < p; ++k) {
-          const double mik = m(i, k);
-          const double mjk = m(j, k);
-          m(i, k) = c * mik - s * mjk;
-          m(j, k) = s * mik + c * mjk;
+          const double mik = mi[k];
+          const double mjk = mj[k];
+          mi[k] = c * mik - s * mjk;
+          mj[k] = s * mik + c * mjk;
         }
+        col_i[i] = c * mii - s * mji;
+        col_i[j] = s * mii + c * mji;
+
+        const auto vi = vt.row(i);
+        const auto vj = vt.row(j);
         for (std::size_t k = 0; k < p; ++k) {
-          const double vki = v(k, i);
-          const double vkj = v(k, j);
-          v(k, i) = c * vki - s * vkj;
-          v(k, j) = s * vki + c * vkj;
+          const double vik = vi[k];
+          const double vjk = vj[k];
+          vi[k] = c * vik - s * vjk;
+          vj[k] = s * vik + c * vjk;
         }
       }
+      for (std::size_t k = 0; k < p; ++k) m(k, i) = col_i[k];
     }
   }
 
@@ -71,9 +94,8 @@ eigen_decomposition jacobi_eigen(const matrix& a, double tol, std::size_t max_sw
   result.vectors = matrix(p, p);
   for (std::size_t rank = 0; rank < p; ++rank) {
     result.values[rank] = diag[order[rank]];
-    for (std::size_t k = 0; k < p; ++k) {
-      result.vectors(k, rank) = v(k, order[rank]);
-    }
+    const auto vector = vt.row(order[rank]);
+    for (std::size_t k = 0; k < p; ++k) result.vectors(k, rank) = vector[k];
   }
   return result;
 }
