@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -81,11 +80,12 @@ int main(int argc, char** argv) {
     rng gen(splitmix64(seed ^ 0x73706c6974ULL));
     const split_indices split = train_test_split(har.size(), 0.2, gen);
     standard_scaler scaler;
-    matrix train = scaler.fit_transform(take_rows(har.features, split.train));
+    const matrix train =
+        scaler.fit_transform(take_rows(har.features, split.train));
     const matrix test = scaler.transform(take_rows(har.features, split.test));
     const std::vector<int> test_labels = take(har.labels, split.test);
     knn_classifier model(5);
-    model.fit(std::move(train), take(har.labels, split.train));
+    model.fit(train, take(har.labels, split.train));
     results.push_back(bench::run_micro(
         "knn score per query (k=5, " + std::to_string(split.train.size()) +
             " train rows)",

@@ -24,7 +24,7 @@ class knn_classifier {
   explicit knn_classifier(std::size_t k = 5);
 
   /// Stores the training set (n x p features, n labels), transposed.
-  void fit(matrix x, std::vector<int> labels);
+  void fit(const matrix& x, std::vector<int> labels);
 
   /// Predicted label of one query row.
   [[nodiscard]] int predict_one(std::span<const double> query) const;

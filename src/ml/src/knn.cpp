@@ -13,7 +13,7 @@ knn_classifier::knn_classifier(std::size_t k) : k_(k) {
   expects(k >= 1, "k must be at least 1");
 }
 
-void knn_classifier::fit(matrix x, std::vector<int> labels) {
+void knn_classifier::fit(const matrix& x, std::vector<int> labels) {
   expects(x.rows() == labels.size(), "feature/label count mismatch");
   expects(x.rows() >= k_, "training set smaller than k");
   train_by_feature_ = transpose(x);

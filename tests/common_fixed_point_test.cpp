@@ -39,6 +39,7 @@ word_t encode_by_nearbyint(const fixed_point_codec& codec, double value) {
 // Every width 2..64 with the extreme fractional splits and a middle one.
 std::vector<fixed_point_codec> codec_sweep() {
   std::vector<fixed_point_codec> codecs;
+  codecs.reserve(63 * 5);
   for (unsigned width = 2; width <= 64; ++width) {
     for (const unsigned frac : {0u, 1u, width / 2, width - 2, width - 1}) {
       if (frac < width) codecs.emplace_back(width, frac);

@@ -341,6 +341,7 @@ TEST(KnnTest, RejectsMisuse) {
 int oracle_knn(const matrix& train, const std::vector<int>& labels,
                std::size_t k, std::span<const double> query) {
   std::vector<std::pair<double, std::size_t>> pairs;
+  pairs.reserve(train.rows());
   for (std::size_t i = 0; i < train.rows(); ++i) {
     double d2 = 0.0;
     for (std::size_t j = 0; j < train.cols(); ++j) {
