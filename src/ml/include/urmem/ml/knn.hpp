@@ -17,7 +17,8 @@ namespace urmem {
 /// ties break toward the smaller label (scikit-learn's deterministic
 /// behaviour). The training set is stored column-major (one contiguous
 /// run per feature), and each squared distance sums its per-feature
-/// terms in feature order.
+/// terms in feature order. Features and queries must be finite: a NaN
+/// distance has no place in that order.
 class knn_classifier {
  public:
   /// `k` neighbors considered per query.

@@ -80,14 +80,17 @@ int knn_classifier::predict_one(std::span<const double> query,
     insert(i);
     kth = nearest.back().first;
   };
-  // Few rows beat the k-th, so blocks of rows are screened first.
-  constexpr std::size_t block = 8;
+  // Few rows beat the k-th, so each block of 8 rows is screened by its
+  // smallest distance first. The min tree needs NaN-free distances
+  // (finite inputs; NaN has no place in the (distance, index) order).
+  const auto lower = [](double a, double b) { return a < b ? a : b; };
   std::size_t i = k_;
-  for (; i + block <= n; i += block) {
-    int closer = 0;
-    for (std::size_t b = 0; b < block; ++b) closer |= dist[i + b] < kth ? 1 : 0;
-    if (closer == 0) continue;
-    for (std::size_t b = 0; b < block; ++b) offer(i + b);
+  for (; i + 8 <= n; i += 8) {
+    const double* const d = dist + i;
+    const double lowest = lower(lower(lower(d[0], d[1]), lower(d[2], d[3])),
+                                lower(lower(d[4], d[5]), lower(d[6], d[7])));
+    if (!(lowest < kth)) continue;
+    for (std::size_t b = i; b < i + 8; ++b) offer(b);
   }
   for (; i < n; ++i) offer(i);
 
