@@ -1,6 +1,6 @@
 // Shared bench infrastructure:
-//  * parse_args — validated `--flag=value` parsing so the paper's full
-//    Monte-Carlo configuration stays one flag away from the fast default;
+//  * parse_args — validated `--flag=value` parsing; a bad flag exits 2
+//    with a message naming it;
 //  * json_object / write_bench_json — machine-readable BENCH_<name>.json
 //    telemetry (wall time, throughput, config, git sha) that CI uploads
 //    as artifacts and gates perf regressions on;
@@ -31,21 +31,61 @@
 
 namespace urmem::bench {
 
-/// Loads `--key=value` arguments into an option_map. Its typed getters
-/// reject malformed values and name the flag (`--runs=2e5` reads as
-/// 200000); call check_consumed() after the last read, so a misspelled
-/// flag fails instead of silently running the default.
-inline option_map parse_args(int argc, char** argv) {
-  option_map args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    const std::size_t eq = arg.find('=');
-    if (!arg.starts_with("--") || eq == std::string_view::npos) {
-      throw spec_error(std::string(arg), "expected --flag=value");
-    }
-    args.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
+/// Validated `--key=value` flags over an option_map. A malformed value
+/// (`--runs=2e5` reads as 200000, `--runs=abc` fails) or, at
+/// check_consumed(), a misspelled flag prints `error: <message>` naming
+/// the flag and exits 2, like urmem-run, instead of silently running
+/// the default.
+class cli_flags {
+ public:
+  cli_flags(int argc, char** argv) {
+    checked([&] {
+      for (int i = 1; i < argc; ++i) {
+        const std::string_view arg(argv[i]);
+        const std::size_t eq = arg.find('=');
+        if (!arg.starts_with("--") || eq == std::string_view::npos) {
+          throw spec_error(std::string(arg), "expected --flag=value");
+        }
+        map_.set(arg.substr(2, eq - 2), arg.substr(eq + 1));
+      }
+      return 0;
+    });
   }
-  return args;
+
+  [[nodiscard]] std::uint64_t get_u64(std::string_view key,
+                                      std::uint64_t fallback) const {
+    return checked([&] { return map_.get_u64(key, fallback); });
+  }
+  [[nodiscard]] double get_double(std::string_view key, double fallback) const {
+    return checked([&] { return map_.get_double(key, fallback); });
+  }
+  /// Call after the last read: fails on the first flag nothing read.
+  void check_consumed() const {
+    checked([&] {
+      map_.check_consumed();
+      return 0;
+    });
+  }
+
+ private:
+  template <typename Fn>
+  static auto checked(Fn&& read) -> decltype(read()) {
+    try {
+      return read();
+    } catch (const spec_error& error) {
+      std::cerr << "error: " << error.what() << "\n";
+      // NOLINTNEXTLINE(concurrency-mt-unsafe): flags are read on the main
+      // thread before a bench starts any worker.
+      std::exit(2);
+    }
+  }
+
+  option_map map_;
+};
+
+/// Parses the process arguments into bench flags.
+inline cli_flags parse_args(int argc, char** argv) {
+  return cli_flags(argc, argv);
 }
 
 /// Prints the standard bench banner.

@@ -1,8 +1,7 @@
 // Console table rendering for the benchmark harnesses.
 //
-// Every figure/table reproduction binary prints its series through this
-// formatter so the output is aligned, diffable, and easy to paste into
-// EXPERIMENTS.md.
+// Every figure/table workload prints its series through this formatter
+// so the output is aligned, diffable, and easy to paste into a report.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 // CSV import/export so the benchmark pipeline can also run on the real
-// UCI datasets when available (the synthetic generators are drop-in
-// substitutes; see DESIGN.md §4).
+// UCI datasets when available (the synthetic generators in
+// generators.hpp are drop-in substitutes).
 #pragma once
 
 #include <iosfwd>

@@ -1,5 +1,8 @@
 // Synthetic dataset generators standing in for the UCI datasets of the
-// paper's Table 1 (see DESIGN.md §4 for the substitution argument).
+// paper's Table 1, so no experiment needs a download. Each one keeps
+// the structure its application's metric depends on (e.g. a few strong
+// principal directions for PCA); see each config for where it departs
+// from the original.
 //
 // All generators are fully deterministic in their seed, so experiments
 // are reproducible and the train/test partition is identical across

@@ -7,7 +7,8 @@
 // structure) using the per-gate constants below, and storage columns are
 // priced with an SRAM macro model. Fig. 6 reports overheads *relative*
 // to the H(39,32) baseline, which this model preserves; absolute
-// µW/ps/µm² values are order-of-magnitude only (see DESIGN.md §4).
+// µW/ps/µm² values are order-of-magnitude only and are not calibrated
+// against the paper's flow.
 #pragma once
 
 namespace urmem {

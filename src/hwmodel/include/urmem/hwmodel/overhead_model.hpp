@@ -54,7 +54,6 @@ class overhead_model {
   overhead_model(gate_library lib, sram_macro_model sram, array_geometry data_geometry);
 
   [[nodiscard]] const hw_blocks& blocks() const { return blocks_; }
-  [[nodiscard]] const sram_macro_model& sram() const { return sram_; }
 
   /// Full-word SECDED, e.g. H(39,32): parity columns + decoder on the
   /// read path, encoder counted in area.

@@ -16,7 +16,7 @@
 // fixed per-cell property — gives the fault-inclusion property exactly:
 // a cell failing at VDD1 fails at every VDD2 < VDD1 [14].
 //
-// Default calibration anchors (see DESIGN.md §4):
+// Default calibration anchors (the fig2-pcell workload prints both):
 //   Pcell(1.00 V) ~ 1e-9  (negligible failures at nominal voltage)
 //   Pcell(0.73 V) ~ 1e-4  (yield of a 16 KB array collapses, as in Sec. 2)
 #pragma once

@@ -35,19 +35,8 @@ class pca {
   /// Keeps the top `n_components` principal directions.
   explicit pca(std::size_t n_components);
 
-  /// Fits mean and components on `x` (n x p), n >= 2, n_components <= p.
+  /// Fits the components on `x` (n x p), n >= 2, n_components <= p.
   void fit(const matrix& x);
-
-  /// Projects rows of `x` onto the component basis (n x k).
-  [[nodiscard]] matrix transform(const matrix& x) const;
-
-  /// Reconstructs from the projection back to feature space (n x p).
-  [[nodiscard]] matrix inverse_transform(const matrix& projected) const;
-
-  /// Fraction of total variance captured by each kept component.
-  [[nodiscard]] const std::vector<double>& explained_variance_ratio() const {
-    return explained_ratio_;
-  }
 
   /// Component directions as columns (p x k), orthonormal.
   [[nodiscard]] const matrix& components() const { return components_; }
@@ -62,9 +51,7 @@ class pca {
 
  private:
   std::size_t n_components_;
-  std::vector<double> mean_;
   matrix components_;  // p x k
-  std::vector<double> explained_ratio_;
 };
 
 }  // namespace urmem

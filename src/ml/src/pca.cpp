@@ -108,7 +108,6 @@ void pca::fit(const matrix& x) {
   expects(x.rows() >= 2, "PCA needs at least two samples");
   expects(n_components_ <= x.cols(), "more components than features");
 
-  mean_ = column_means(x);
   const matrix cov = covariance(x);
   const eigen_decomposition eig = jacobi_eigen(cov);
 
@@ -118,36 +117,10 @@ void pca::fit(const matrix& x) {
       components_(r, c) = eig.vectors(r, c);
     }
   }
-
-  double total = 0.0;
-  for (const double lambda : eig.values) total += std::max(lambda, 0.0);
-  explained_ratio_.assign(n_components_, 0.0);
-  if (total > 0.0) {
-    for (std::size_t c = 0; c < n_components_; ++c) {
-      explained_ratio_[c] = std::max(eig.values[c], 0.0) / total;
-    }
-  }
-}
-
-matrix pca::transform(const matrix& x) const {
-  expects(!mean_.empty(), "fit must be called before transform");
-  expects(x.cols() == mean_.size(), "feature count mismatch");
-  matrix centered = x;
-  center_columns(centered, mean_);
-  return matmul(centered, components_);
-}
-
-matrix pca::inverse_transform(const matrix& projected) const {
-  expects(!mean_.empty(), "fit must be called before inverse_transform");
-  matrix restored = matmul(projected, transpose(components_));
-  for (std::size_t r = 0; r < restored.rows(); ++r) {
-    for (std::size_t c = 0; c < restored.cols(); ++c) restored(r, c) += mean_[c];
-  }
-  return restored;
 }
 
 double pca::score(const matrix& x) const {
-  expects(!mean_.empty(), "fit must be called before score");
+  expects(!components_.empty(), "fit must be called before score");
   // Center by the holdout's own mean: a corrupted training mean must
   // not inflate the total variance the basis is scored against.
   matrix centered = x;

@@ -11,8 +11,7 @@
 // Registration is explicit and fails loudly: registering a name twice
 // throws, and resolving an unknown name raises a spec_error that lists
 // the known names. Built-ins are registered on first use of
-// instance(); out-of-module code extends the registry with a
-// scheme_registration object in a TU its binary links.
+// instance().
 #pragma once
 
 #include <cstdint>
@@ -108,13 +107,5 @@ void validate_shuffle_design(const geometry_spec& geometry, unsigned nfm,
 [[nodiscard]] scheme_recipe make_tiered_recipe(
     const geometry_spec& geometry, const std::vector<region_spec>& regions,
     const std::string& context);
-
-/// RAII helper: `static scheme_registration reg{"myscheme", ...};` in a
-/// linked TU adds an out-of-module scheme before main runs.
-struct scheme_registration {
-  scheme_registration(std::string name, std::string summary,
-                      std::string options_help,
-                      scheme_registry::entry_factory factory);
-};
 
 }  // namespace urmem

@@ -7,8 +7,7 @@
 // deterministic JSON aggregate that scenario reports and CI goldens
 // consume.
 //
-// Built-ins: fig5-mse, fig7-quality, table1-apps, psnr-image,
-// ml-quality, bist-march, redundancy-yield, multifault-policy.
+// Built-ins: `urmem-run --list-workloads` (golden: workloads.txt).
 #pragma once
 
 #include <functional>
@@ -101,13 +100,6 @@ class workload_registry {
     entry_factory factory;
   };
   std::vector<entry> entries_;
-};
-
-/// RAII helper mirroring scheme_registration.
-struct workload_registration {
-  workload_registration(std::string name, std::string summary,
-                        std::string options_help,
-                        workload_registry::entry_factory factory);
 };
 
 /// Resolves every scheme entry of `spec` through the scheme registry.

@@ -46,7 +46,30 @@ unsigned parse_protected_bits(const option_map& options,
                      "must be in [1, " + std::to_string(width - 1) +
                          "], got " + std::to_string(protected_bits));
   }
+  // The row holds the W - k raw bits beside an H(k + p + 1, k) codeword,
+  // W + p + 1 columns in all; with k = 1 (p = 2) it is narrowest, so
+  // blame the width when even that overflows, else the protected bits.
+  unsigned parity = 0;
+  while ((1u << parity) < protected_bits + parity + 1) ++parity;
+  if (width + parity + 1 > max_word_width) {
+    throw spec_error(width + 3 > max_word_width
+                         ? "geometry.word_bits"
+                         : options.field_name("protected-bits"),
+                     "P-ECC storage row of " +
+                         std::to_string(width + parity + 1) +
+                         " columns exceeds the 64-bit carrier");
+  }
   return protected_bits;
+}
+
+/// H(W + p + 1, W) fits the 64-bit carrier up to W = 57.
+void validate_secded_width(const geometry_spec& geometry) {
+  if (geometry.word_bits > 57) {
+    throw spec_error("geometry.word_bits",
+                     "SECDED codeword exceeds the 64-bit carrier at " +
+                         std::to_string(geometry.word_bits) +
+                         " data bits (at most 57)");
+  }
 }
 
 /// Display label = the instance's own name() (what the paper tables
@@ -74,6 +97,7 @@ void register_builtin_schemes(scheme_registry& registry) {
   registry.add(
       "secded", "whole-word SECDED Hamming ECC — H(39,32) at 32 bits", "",
       [](const geometry_spec& geometry, const option_map&) {
+        validate_secded_width(geometry);
         const unsigned width = geometry.word_bits;
         return labelled(
             [width](std::uint32_t) { return make_scheme_secded(width); });
@@ -170,6 +194,7 @@ void register_builtin_schemes(scheme_registry& registry) {
         const unsigned width = geometry.word_bits;
         const unsigned nfm = parse_nfm(options, geometry);
         const shift_policy policy = parse_policy(options);
+        validate_secded_width(geometry);
         scheme_recipe recipe;
         recipe.display_name =
             shuffle_label(nfm, policy) + "+" + secded_scheme(width).name();
@@ -410,13 +435,6 @@ std::vector<scheme_registry::entry_info> scheme_registry::list() const {
   std::sort(infos.begin(), infos.end(),
             [](const entry_info& a, const entry_info& b) { return a.name < b.name; });
   return infos;
-}
-
-scheme_registration::scheme_registration(std::string name, std::string summary,
-                                         std::string options_help,
-                                         scheme_registry::entry_factory factory) {
-  scheme_registry::instance().add(std::move(name), std::move(summary),
-                                  std::move(options_help), std::move(factory));
 }
 
 }  // namespace urmem

@@ -74,13 +74,6 @@ std::vector<workload_registry::entry_info> workload_registry::list() const {
   return infos;
 }
 
-workload_registration::workload_registration(
-    std::string name, std::string summary, std::string options_help,
-    workload_registry::entry_factory factory) {
-  workload_registry::instance().add(std::move(name), std::move(summary),
-                                    std::move(options_help), std::move(factory));
-}
-
 std::vector<scheme_recipe> resolve_schemes(const scenario_spec& spec) {
   std::vector<scheme_recipe> recipes;
   recipes.reserve(spec.schemes.size() + (spec.regions.empty() ? 0 : 1));

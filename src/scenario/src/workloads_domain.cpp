@@ -1,6 +1,7 @@
 // Built-in domain-scenario and ablation workloads: PSNR image storage,
 // single-application ML quality, BIST march coverage, spare-row
-// redundancy economics and the multi-fault shift-policy ablation.
+// redundancy economics, the multi-fault shift-policy ablation and the
+// faulty FM-LUT ablation.
 #include <cmath>
 #include <iostream>
 #include <memory>
@@ -9,9 +10,11 @@
 #include "urmem/bist/bist_engine.hpp"
 #include "urmem/common/table.hpp"
 #include "urmem/hwmodel/overhead_model.hpp"
+#include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
 #include "urmem/scenario/workload_registry.hpp"
 #include "urmem/scheme/row_redundancy.hpp"
+#include "urmem/shuffle/shuffle_scheme.hpp"
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/quantizer.hpp"
 #include "urmem/yield/mse_distribution.hpp"
@@ -530,6 +533,122 @@ class multifault_policy_workload final : public workload {
   std::vector<double> nfms_;
 };
 
+// ------------------------------------------------------------ lut-faults
+
+/// Ablation: FM-LUT columns that are not fault-free. The paper assumes
+/// the LUT cells are reliable (BIST writes them); here each LUT bit
+/// fails at the data array's Pcell and flips its stored xFM bit, and a
+/// wrong xFM mis-rotates the whole word. Each trial draws one data
+/// fault map and reads the same random words back through the
+/// programmed LUT and through a corrupted copy of it, so both MSEs come
+/// from the same array.
+class lut_faults_workload final : public workload {
+ public:
+  explicit lut_faults_workload(const option_map& options)
+      : trials_(options.get_u64("trials", 200)) {
+    if (trials_ < 1) {
+      throw spec_error(options.field_name("trials"), "must be at least 1");
+    }
+  }
+
+  workload_output run(const scenario_spec& spec,
+                      campaign_pool& pool) const override {
+    reject_schemes(spec, "lut-faults");
+    validate_shuffle_design(spec.geometry, 1, "geometry.word_bits");
+    const double pcell = spec.resolved_pcell("lut-faults");
+    if (pcell <= 0.0) {
+      throw spec_error("fault.pcell",
+                       "lut-faults compares MSEs under faults and needs a "
+                       "positive Pcell");
+    }
+    const array_geometry geometry{spec.geometry.rows_per_tile,
+                                  spec.geometry.word_bits};
+    const unsigned max_nfm = log2_exact(geometry.width);
+
+    // Trial (nFM - 1) * trials + t returns {robust, faulty} MSE.
+    campaign_runner& runner = pool.runner();
+    const std::vector<std::pair<double, double>> mses =
+        runner.map<std::pair<double, double>>(
+            max_nfm * trials_, [&](std::uint64_t trial, rng& gen) {
+              const auto n_fm = static_cast<unsigned>(trial / trials_) + 1;
+              // Per trial: the distribution caches its table lazily.
+              const binomial_distribution data_faults(geometry.cells(), pcell);
+              const fault_map faults = sample_fault_map_binomial(
+                  geometry, data_faults, gen, spec.fault.polarity);
+              shuffle_scheme robust(geometry.rows, geometry.width, n_fm);
+              robust.program(faults);
+              shuffle_scheme faulty = robust;
+              for (std::uint32_t r = 0; r < geometry.rows; ++r) {
+                unsigned entry = faulty.lut().get(r);
+                for (unsigned bit = 0; bit < n_fm; ++bit) {
+                  if (gen.uniform() < pcell) entry ^= 1u << bit;
+                }
+                faulty.mutable_lut().set(r, entry);
+              }
+              sram_array array(faults);
+              const auto squared_error = [&](const shuffle_scheme& scheme,
+                                             std::uint32_t r, word_t data) {
+                array.write(r, scheme.apply_write(r, data));
+                const word_t readback = scheme.restore_read(r, array.read(r));
+                const double err =
+                    static_cast<double>(to_signed(readback, geometry.width)) -
+                    static_cast<double>(to_signed(data, geometry.width));
+                return err * err;
+              };
+              std::pair<double, double> total{0.0, 0.0};
+              for (std::uint32_t r = 0; r < geometry.rows; ++r) {
+                const word_t data = gen() & word_mask(geometry.width);
+                total.first += squared_error(robust, r, data);
+                total.second += squared_error(faulty, r, data);
+              }
+              return std::pair{total.first / geometry.rows,
+                               total.second / geometry.rows};
+            });
+
+    std::ostringstream out;
+    out << geometry.rows << " x " << geometry.width
+        << " array, Pcell = " << format_scientific(pcell, 2)
+        << " for both data cells and LUT bits, " << trials_
+        << " Monte-Carlo arrays per point, each read through the programmed "
+           "LUT and a corrupted copy.\n\n";
+    console_table table({"nFM", "mean MSE, robust LUT", "mean MSE, faulty LUT",
+                         "inflation"});
+    workload_output output;
+    output.trials = runner.last_stats().trials;
+    output.json = json_value::make_object();
+    output.json.set("pcell", pcell);
+    output.json.set("trials", trials_);
+    json_value points = json_value::make_array();
+    for (unsigned n_fm = 1; n_fm <= max_nfm; ++n_fm) {
+      double robust = 0.0;
+      double faulty = 0.0;
+      for (std::uint64_t t = 0; t < trials_; ++t) {
+        robust += mses[(n_fm - 1) * trials_ + t].first;
+        faulty += mses[(n_fm - 1) * trials_ + t].second;
+      }
+      robust /= static_cast<double>(trials_);
+      faulty /= static_cast<double>(trials_);
+      table.add_row({std::to_string(n_fm), format_scientific(robust, 3),
+                     format_scientific(faulty, 3),
+                     format_double(faulty / robust, 3) + "x"});
+      json_value point = json_value::make_object();
+      point.set("nfm", n_fm);
+      point.set("mse_robust_lut", robust);
+      point.set("mse_faulty_lut", faulty);
+      point.set("inflation", faulty / robust);
+      points.push_back(std::move(point));
+    }
+    table.print(out);
+
+    output.json.set("points", std::move(points));
+    output.text = out.str();
+    return output;
+  }
+
+ private:
+  std::uint64_t trials_;
+};
+
 }  // namespace
 
 namespace detail {
@@ -564,6 +683,12 @@ void register_domain_workloads(workload_registry& registry) {
                "runs=200000 nmax=400 pcells=... nfms=2,5",
                [](const option_map& options) {
                  return std::make_unique<multifault_policy_workload>(options);
+               });
+  registry.add("lut-faults",
+               "MSE inflation when the FM-LUT bits fail too (LUT robustness)",
+               "trials=200",
+               [](const option_map& options) {
+                 return std::make_unique<lut_faults_workload>(options);
                });
 }
 

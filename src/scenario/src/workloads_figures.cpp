@@ -10,7 +10,9 @@
 
 #include "urmem/common/binomial.hpp"
 #include "urmem/common/table.hpp"
+#include "urmem/hwmodel/overhead_model.hpp"
 #include "urmem/scenario/workload_registry.hpp"
+#include "urmem/shuffle/bit_shuffler.hpp"
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/quality_experiment.hpp"
 #include "urmem/sim/quantizer.hpp"
@@ -465,16 +467,343 @@ class table1_workload final : public workload {
   }
 };
 
+// ----------------------------------------------------------- fig2-pcell
+
+/// Fig. 2: Pcell of the spec's cell model across 0.50..1.10 V, with the
+/// traditional zero-failure yield Y = (1 - Pcell)^M of one tile, which
+/// collapses at 0.73 V (Sec. 2).
+class fig2_workload final : public workload {
+ public:
+  explicit fig2_workload(const option_map& /*options*/) {}
+
+  workload_output run(const scenario_spec& spec,
+                      campaign_pool& /*pool*/) const override {
+    reject_schemes(spec, "fig2-pcell");
+    const cell_failure_model model = spec.failure_model();
+    const std::uint64_t cells =
+        static_cast<std::uint64_t>(spec.geometry.rows_per_tile) *
+        spec.geometry.word_bits;
+    const std::string size = spec.geometry.size_label();
+
+    workload_output output;
+    output.json = json_value::make_object();
+    json_value points = json_value::make_array();
+    console_table table({"VDD [V]", "Pcell", size + " zero-failure yield",
+                         "E[failures] per " + size});
+    for (const double vdd : linspace(0.50, 1.10, 25)) {
+      const double pcell = model.pcell(vdd);
+      const double yield = cell_failure_model::array_yield(cells, pcell);
+      const double failures = pcell * static_cast<double>(cells);
+      table.add_row({format_double(vdd, 3), format_scientific(pcell, 3),
+                     format_scientific(yield, 3), format_double(failures, 3)});
+      json_value point = json_value::make_object();
+      point.set("vdd", vdd);
+      point.set("pcell", pcell);
+      point.set("zero_failure_yield", yield);
+      point.set("expected_failures", failures);
+      points.push_back(std::move(point));
+    }
+    std::ostringstream out;
+    table.print(out);
+
+    const double pcell_073 = model.pcell(0.73);
+    const double yield_073 = cell_failure_model::array_yield(cells, pcell_073);
+    out << "\nCalibration anchors:\n";
+    console_table anchors({"condition", "paper", "measured"});
+    anchors.add_row({"Pcell @ 1.00 V", "~1e-9 (negligible)",
+                     format_scientific(model.pcell(1.00), 3)});
+    anchors.add_row({"Pcell @ 0.73 V", "~1e-4 (" + size + " yield -> 0)",
+                     format_scientific(pcell_073, 3)});
+    anchors.add_row({size + " yield @ 0.73 V", "approaches zero",
+                     format_scientific(yield_073, 3)});
+    anchors.print(out);
+
+    const double vdd_fig5 = model.vdd_for_pcell(5e-6);
+    const double vdd_fig7 = model.vdd_for_pcell(1e-3);
+    out << "\nOperating points used by the paper's experiments:\n";
+    console_table operating({"experiment", "Pcell", "implied VDD [V]"});
+    operating.add_row({"Fig. 5 (MSE CDF)", "5e-6", format_double(vdd_fig5, 4)});
+    operating.add_row(
+        {"Fig. 7 (app quality)", "1e-3", format_double(vdd_fig7, 4)});
+    operating.print(out);
+
+    output.json.set("points", std::move(points));
+    output.json.set("pcell_at_0v73", pcell_073);
+    output.json.set("zero_failure_yield_at_0v73", yield_073);
+    output.json.set("vdd_fig5", vdd_fig5);
+    output.json.set("vdd_fig7", vdd_fig7);
+    output.text = out.str();
+    return output;
+  }
+};
+
+// ----------------------------------------------------------- fig4-error
+
+/// Fig. 4: worst-case error magnitude per faulty bit position for every
+/// FM-LUT size nFM = 1..log2(W). BIST programs xFM = segment_of(b), so a
+/// fault at b lands at logical position b mod S and costs 2^(b mod S),
+/// bounded by 2^(S-1) with S = W / 2^nFM.
+class fig4_workload final : public workload {
+ public:
+  explicit fig4_workload(const option_map& /*options*/) {}
+
+  workload_output run(const scenario_spec& spec,
+                      campaign_pool& /*pool*/) const override {
+    reject_schemes(spec, "fig4-error");
+    // Names geometry.word_bits for a width that is not a power of two.
+    validate_shuffle_design(spec.geometry, 1, "geometry.word_bits");
+    const unsigned width = spec.geometry.word_bits;
+
+    std::vector<bit_shuffler> shufflers;
+    std::vector<std::string> headers{"fault bit b", "no-correction log2|e|"};
+    for (unsigned n_fm = 1; n_fm <= log2_exact(width); ++n_fm) {
+      shufflers.emplace_back(width, n_fm);
+      headers.push_back("nFM=" + std::to_string(n_fm) + " log2|e|");
+    }
+    const auto residual = [](const bit_shuffler& s, unsigned b) {
+      return s.logical_position(b, s.segment_of(b));
+    };
+
+    console_table table(headers);
+    for (unsigned b = 0; b < width; ++b) {
+      std::vector<std::string> row{std::to_string(b), std::to_string(b)};
+      for (const bit_shuffler& s : shufflers) {
+        row.push_back(std::to_string(residual(s, b)));
+      }
+      table.add_row(std::move(row));
+    }
+    std::ostringstream out;
+    table.print(out);
+
+    workload_output output;
+    output.json = json_value::make_object();
+    output.json.set("width", width);
+    json_value options = json_value::make_array();
+    out << "\nWorst-case envelope (Sec. 3: bounded by 2^(S-1)):\n";
+    console_table bounds({"nFM", "segment size S", "max |error|",
+                          "paper bound 2^(S-1)"});
+    for (const bit_shuffler& s : shufflers) {
+      double max_error = 0.0;
+      json_value positions = json_value::make_array();
+      for (unsigned b = 0; b < width; ++b) {
+        max_error = std::max(
+            max_error, std::ldexp(1.0, static_cast<int>(residual(s, b))));
+        positions.push_back(residual(s, b));
+      }
+      bounds.add_row({std::to_string(s.n_fm()),
+                      std::to_string(s.segment_size()),
+                      format_double(max_error, 10),
+                      format_double(s.max_error_magnitude(), 10)});
+      json_value entry = json_value::make_object();
+      entry.set("nfm", s.n_fm());
+      entry.set("segment_size", s.segment_size());
+      entry.set("residual_log2", std::move(positions));
+      entry.set("max_error", max_error);
+      entry.set("bound", s.max_error_magnitude());
+      options.push_back(std::move(entry));
+    }
+    bounds.print(out);
+
+    output.json.set("options", std::move(options));
+    output.text = out.str();
+    return output;
+  }
+};
+
+// -------------------------------------------------------- fig6-overhead
+
+/// Fig. 6: read power, read delay and area of bit-shuffling (nFM = 1..5)
+/// and H(22,16) P-ECC relative to H(39,32) SECDED on the 28 nm-class
+/// cost model (Sec. 5.1: power and delay cost the readout path only,
+/// area all added hardware), plus the write path and the FM-LUT
+/// realization trade (SRAM columns vs register file).
+class fig6_workload final : public workload {
+ public:
+  explicit fig6_workload(const option_map& /*options*/) {}
+
+  workload_output run(const scenario_spec& spec,
+                      campaign_pool& /*pool*/) const override {
+    reject_schemes(spec, "fig6-overhead");
+    if (spec.geometry.word_bits != 32) {
+      throw spec_error("geometry.word_bits",
+                       "fig6-overhead compares against the paper's H(39,32) "
+                       "and H(22,16) baselines and needs 32-bit words, got " +
+                           std::to_string(spec.geometry.word_bits));
+    }
+    const std::uint32_t rows = spec.geometry.rows_per_tile;
+    const overhead_model model(gate_library::fdsoi_28nm(),
+                               sram_macro_model::fdsoi_28nm(),
+                               array_geometry{rows, 32});
+    const hamming_secded h39(32);
+    const priority_ecc h22(32, 16);
+    const overhead_metrics base = model.secded(h39);
+    const overhead_metrics pecc = model.pecc(h22);
+
+    std::vector<std::pair<std::string, overhead_metrics>> reads{
+        {"H(39,32) ECC", base}, {"H(22,16) P-ECC", pecc}};
+    for (unsigned n_fm = 1; n_fm <= 5; ++n_fm) {
+      reads.emplace_back("nFM=" + std::to_string(n_fm), model.shuffle(n_fm));
+    }
+
+    workload_output output;
+    output.json = json_value::make_object();
+    output.json.set("rows", rows);
+    json_value read_results = json_value::make_array();
+    console_table absolute({"scheme", "read energy [fJ]", "read delay [ps]",
+                            "area [um^2]"});
+    console_table relative({"scheme", "read power", "read delay", "area"});
+    for (const auto& [name, m] : reads) {
+      const relative_overhead rel = overhead_model::relative(m, base);
+      absolute.add_row({name, format_double(m.read_energy_fj, 4),
+                        format_double(m.read_delay_ps, 4),
+                        format_double(m.area_um2, 5)});
+      relative.add_row({name, format_double(rel.read_power, 3),
+                        format_double(rel.read_delay, 3),
+                        format_double(rel.area, 3)});
+      json_value entry = json_value::make_object();
+      entry.set("name", name);
+      entry.set("read_energy_fj", m.read_energy_fj);
+      entry.set("read_delay_ps", m.read_delay_ps);
+      entry.set("area_um2", m.area_um2);
+      entry.set("read_power_rel", rel.read_power);
+      entry.set("read_delay_rel", rel.read_delay);
+      entry.set("area_rel", rel.area);
+      read_results.push_back(std::move(entry));
+    }
+    std::ostringstream out;
+    out << "Absolute overhead added on top of the unprotected " << rows
+        << " x 32 array:\n";
+    absolute.print(out);
+    out << "\nRelative to H(39,32) SECDED (= 1.00, the paper's Fig. 6 axes):\n";
+    relative.print(out);
+
+    std::vector<std::pair<std::string, write_overhead_metrics>> writes{
+        {"H(39,32) ECC", model.secded_write(h39)},
+        {"H(22,16) P-ECC", model.pecc_write(h22)}};
+    for (unsigned n_fm = 1; n_fm <= 5; ++n_fm) {
+      const std::string name = "nFM=" + std::to_string(n_fm);
+      writes.emplace_back(name + " (SRAM LUT)", model.shuffle_write(n_fm));
+      writes.emplace_back(
+          name + " (regfile LUT)",
+          model.shuffle_write(n_fm, lut_realization::register_file));
+    }
+    out << "\nWrite-path overhead (not in Fig. 6 — Sec. 5.1 notes writes "
+           "are off the critical path; the shuffle write needs a serial "
+           "LUT read first):\n";
+    console_table write_table({"scheme", "write energy [fJ]",
+                               "write delay [ps]"});
+    json_value write_results = json_value::make_array();
+    for (const auto& [name, m] : writes) {
+      write_table.add_row({name, format_double(m.write_energy_fj, 4),
+                           format_double(m.write_delay_ps, 4)});
+      json_value entry = json_value::make_object();
+      entry.set("name", name);
+      entry.set("write_energy_fj", m.write_energy_fj);
+      entry.set("write_delay_ps", m.write_delay_ps);
+      write_results.push_back(std::move(entry));
+    }
+    write_table.print(out);
+
+    // nFM = 1 is the cheapest shuffle design, nFM = 5 the dearest.
+    const overhead_metrics& nfm1 = reads[2].second;
+    const relative_overhead best = overhead_model::relative(nfm1, base);
+    const relative_overhead worst =
+        overhead_model::relative(reads.back().second, base);
+    const relative_overhead pecc_rel = overhead_model::relative(pecc, base);
+    const relative_overhead vs_pecc = overhead_model::relative(nfm1, pecc);
+    const auto saving = [](double worst_ratio, double best_ratio) {
+      return format_percent(1.0 - worst_ratio, 1) + " - " +
+             format_percent(1.0 - best_ratio, 1);
+    };
+    const double gate_delays = model.decoder_gate_delays(h39);
+    out << "\nPaper headline checks (savings vs SECDED / P-ECC):\n";
+    console_table claims({"claim", "paper", "measured"});
+    claims.add_row({"read power saving vs ECC", "20% - 83%",
+                    saving(worst.read_power, best.read_power)});
+    claims.add_row({"read delay saving vs ECC", "41% - 77%",
+                    saving(worst.read_delay, best.read_delay)});
+    claims.add_row(
+        {"area saving vs ECC", "32% - 89%", saving(worst.area, best.area)});
+    claims.add_row({"best power saving vs P-ECC", "59%",
+                    format_percent(1.0 - vs_pecc.read_power, 1)});
+    claims.add_row({"best delay saving vs P-ECC", "64%",
+                    format_percent(1.0 - vs_pecc.read_delay, 1)});
+    claims.add_row({"best area saving vs P-ECC", "57%",
+                    format_percent(1.0 - vs_pecc.area, 1)});
+    claims.add_row({"P-ECC relative power/delay/area", "0.41 / 0.64 / 0.26",
+                    format_double(pecc_rel.read_power, 2) + " / " +
+                        format_double(pecc_rel.read_delay, 2) + " / " +
+                        format_double(pecc_rel.area, 2)});
+    claims.add_row({"SECDED decode depth [17]", "~13 gate delays",
+                    format_double(gate_delays, 3)});
+    claims.print(out);
+
+    // Sec. 5.1 prices the LUT as whole bit columns, "the most
+    // straightforward realization", and notes a register file could
+    // cost much less; this section quantifies that trade.
+    out << "\nFM-LUT realization (Sec. 5.1): SRAM columns vs register file:\n";
+    console_table lut_table({"nFM", "LUT", "read power (rel ECC)",
+                             "read delay (rel ECC)", "area (rel ECC)"});
+    json_value lut_results = json_value::make_array();
+    for (unsigned n_fm = 1; n_fm <= 5; ++n_fm) {
+      for (const auto realization :
+           {lut_realization::sram_columns, lut_realization::register_file}) {
+        const relative_overhead rel =
+            overhead_model::relative(model.shuffle(n_fm, realization), base);
+        const bool sram = realization == lut_realization::sram_columns;
+        lut_table.add_row({std::to_string(n_fm),
+                           sram ? "SRAM columns" : "register file",
+                           format_double(rel.read_power, 3),
+                           format_double(rel.read_delay, 3),
+                           format_double(rel.area, 3)});
+        json_value entry = json_value::make_object();
+        entry.set("nfm", n_fm);
+        entry.set("lut", sram ? "sram_columns" : "register_file");
+        entry.set("read_power_rel", rel.read_power);
+        entry.set("read_delay_rel", rel.read_delay);
+        entry.set("area_rel", rel.area);
+        lut_results.push_back(std::move(entry));
+      }
+    }
+    lut_table.print(out);
+
+    output.json.set("read", std::move(read_results));
+    output.json.set("write", std::move(write_results));
+    output.json.set("lut_realization", std::move(lut_results));
+    output.json.set("secded_decoder_gate_delays", gate_delays);
+    output.text = out.str();
+    return output;
+  }
+};
+
 }  // namespace
 
 namespace detail {
 
 void register_figure_workloads(workload_registry& registry) {
+  registry.add("fig2-pcell",
+               "cell failure probability and array yield vs VDD (Fig. 2)",
+               "",
+               [](const option_map& options) {
+                 return std::make_unique<fig2_workload>(options);
+               });
+  registry.add("fig4-error",
+               "error magnitude per faulty bit position for each nFM (Fig. 4)",
+               "",
+               [](const option_map& options) {
+                 return std::make_unique<fig4_workload>(options);
+               });
   registry.add("fig5-mse",
                "CDF of the memory MSE under fault injection (paper Fig. 5)",
                "runs=1e7 nmax=150 analytic=false",
                [](const option_map& options) {
                  return std::make_unique<fig5_workload>(options);
+               });
+  registry.add("fig6-overhead",
+               "read power, delay and area vs H(39,32) SECDED (Fig. 6)",
+               "",
+               [](const option_map& options) {
+                 return std::make_unique<fig6_workload>(options);
                });
   registry.add("fig7-quality",
                "CDF of application quality under memory failures (Fig. 7)",

@@ -167,7 +167,7 @@ class protected_memory {
   /// batched row op — no per-word virtual calls. When the array runs
   /// the reference fault path (URMEM_FAULT_PATH=reference or
   /// set_fault_path), encoding drops to the per-word
-  /// scheme->encode_reference oracle instead, so the figure benches
+  /// scheme->encode_reference oracle instead, so the figure workloads
   /// differentially test the compiled codecs against the oracle in one
   /// switch.
   void write_block(std::uint32_t first, std::span<const word_t> data);

@@ -104,7 +104,7 @@ class protection_scheme {
 
   /// Reference (oracle) per-word encode/decode: the per-bit codec walks
   /// the compiled fast paths were derived from. protected_memory routes
-  /// through these when URMEM_FAULT_PATH=reference so the figure benches
+  /// through these when URMEM_FAULT_PATH=reference so the figure workloads
   /// differentially test the compiled layer end to end.
   [[nodiscard]] virtual word_t encode_reference(std::uint32_t row,
                                                 word_t data) const = 0;

@@ -83,11 +83,10 @@ TEST(MadelonLikeTest, SpectrumHasFewStrongDirections) {
   matrix z = scaler.fit_transform(data.features);
   pca model(5);
   model.fit(z);
-  double top5 = 0.0;
-  for (const double r : model.explained_variance_ratio()) top5 += r;
   // 5 of 60 directions carry far more than their 8% uniform share: the
-  // rank-5 informative+redundant block concentrates the variance.
-  EXPECT_GT(top5, 0.25);
+  // rank-5 informative+redundant block concentrates the variance (score
+  // on the training set is the captured variance fraction).
+  EXPECT_GT(model.score(z), 0.25);
 }
 
 TEST(MadelonLikeTest, RedundantFeaturesAreLinearCombinations) {

@@ -85,7 +85,8 @@ TEST(OverheadTest, ShuffleBeatsEccAcrossTheBoard) {
 TEST(OverheadTest, PaperBandsForBestCaseSavings) {
   // Paper: up to 83% read power, 77% read delay, 89% area savings vs
   // SECDED (nFM = 1). The structural model must land in generous bands
-  // around those best-case numbers (exact values in EXPERIMENTS.md).
+  // around those best-case numbers (the exact values are printed by
+  // `urmem-run scenarios/fig6_overhead.json`).
   const auto model = paper_model();
   const overhead_metrics base = model.secded(hamming_secded(32));
   const relative_overhead best = overhead_model::relative(model.shuffle(1), base);

@@ -79,7 +79,8 @@ TEST(FaultMapTest, RejectsOutOfRangeCells) {
 
 TEST(CellFailureModelTest, CalibrationAnchors) {
   const auto model = cell_failure_model::default_28nm();
-  // Pcell(1.0 V) ~ 1e-9 and Pcell(0.73 V) ~ 1e-4 (DESIGN.md §4).
+  // Pcell(1.0 V) ~ 1e-9 and Pcell(0.73 V) ~ 1e-4: the default
+  // calibration anchors in cell_failure_model.hpp.
   EXPECT_NEAR(std::log10(model.pcell(1.0)), -9.0, 0.15);
   EXPECT_NEAR(std::log10(model.pcell(0.73)), -4.0, 0.15);
 }

@@ -105,13 +105,35 @@ TEST(SchemeRegistry, UnknownOptionNamesTheField) {
 }
 
 TEST(SchemeRegistry, OutOfRangeOptionNamesTheField) {
-  scheme_ref ref{"shuffle", option_map("schemes[0]")};
-  ref.options.set("nfm", "9");  // log2(32) = 5 is the max
-  try {
-    (void)scheme_registry::instance().make(ref, geometry_spec{});
-    FAIL() << "expected spec_error";
-  } catch (const spec_error& error) {
-    EXPECT_EQ(error.field(), "schemes[0].nfm");
+  struct out_of_range_case {
+    std::string scheme;
+    std::string key;    // option to set ("" = none)
+    std::string value;
+    unsigned word_bits;
+    std::string field;  // the field the diagnostic must blame
+  };
+  const std::vector<out_of_range_case> cases{
+      {"shuffle", "nfm", "9", 32, "schemes[0].nfm"},  // log2(32) = 5 is the max
+      // H(71,64) and a 71-column P-ECC row overflow the 64-bit carrier.
+      {"secded", "", "", 64, "geometry.word_bits"},
+      {"shuffle+secded", "", "", 64, "geometry.word_bits"},
+      {"pecc", "", "", 64, "geometry.word_bits"},
+      {"shuffle+pecc", "", "", 64, "geometry.word_bits"},
+      // 60 + 6 + 1 = 67 columns; protected-bits=4 would fit in 64.
+      {"pecc", "protected-bits", "30", 60, "schemes[0].protected-bits"},
+  };
+  for (const out_of_range_case& c : cases) {
+    SCOPED_TRACE(c.scheme + " at W=" + std::to_string(c.word_bits));
+    scheme_ref ref{c.scheme, option_map("schemes[0]")};
+    if (!c.key.empty()) ref.options.set(c.key, c.value);
+    geometry_spec geometry;
+    geometry.word_bits = c.word_bits;
+    try {
+      (void)scheme_registry::instance().make(ref, geometry);
+      ADD_FAILURE() << "expected spec_error";
+    } catch (const spec_error& error) {
+      EXPECT_EQ(error.field(), c.field);
+    }
   }
 }
 
