@@ -1,5 +1,5 @@
 // Shared bench infrastructure:
-//  * parse_args — validated `--flag=value` parsing; a bad flag exits 2
+//  * cli_flags — validated `--flag=value` parsing; a bad flag exits 2
 //    with a message naming it;
 //  * json_object / write_bench_json — machine-readable BENCH_<name>.json
 //    telemetry (wall time, throughput, config, git sha) that CI uploads
@@ -82,11 +82,6 @@ class cli_flags {
 
   option_map map_;
 };
-
-/// Parses the process arguments into bench flags.
-inline cli_flags parse_args(int argc, char** argv) {
-  return cli_flags(argc, argv);
-}
 
 /// Prints the standard bench banner.
 inline void banner(std::string_view title, std::string_view paper_ref) {

@@ -180,7 +180,7 @@ bool verify_block_equals_reference(protection_scheme& scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv);
+  const bench::cli_flags args(argc, argv);
   bench::banner("micro_codec — protection codec throughput",
                 "encode/decode cost behind the Fig. 5 / Fig. 7 campaigns");
 

@@ -79,7 +79,7 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv);
+  const bench::cli_flags args(argc, argv);
   bench::banner("micro_memory — fault-plane fast path vs per-fault oracle",
                 "hot loop of the Fig. 5 / Fig. 7 Monte-Carlo campaigns");
 

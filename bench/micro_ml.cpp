@@ -42,7 +42,7 @@ std::string shape(const matrix& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv);
+  const bench::cli_flags args(argc, argv);
   bench::banner("micro_ml — ML kernels at Fig. 7 sizes",
                 "per-trial retraining cost behind Fig. 7 / Table 1");
 

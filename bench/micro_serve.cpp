@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const auto args = bench::parse_args(argc, argv);
+  const bench::cli_flags args(argc, argv);
 
   const std::uint64_t rows = args.get_u64("rows", 4096);
   const std::uint64_t requests = args.get_u64("requests", 200000);

@@ -88,9 +88,6 @@ class bch_code {
     return design_.codeword_bits;
   }
 
-  /// Generator polynomial g(x) as a bitmask (bit i = coefficient x^i).
-  [[nodiscard]] std::uint64_t generator_poly() const { return generator_; }
-
   /// Encodes the low `data_bits` of `data` into a codeword: one XOR per
   /// data byte through the compiled encode tables.
   [[nodiscard]] word_t encode(word_t data) const {

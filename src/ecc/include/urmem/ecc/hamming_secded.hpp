@@ -56,6 +56,12 @@ struct ecc_decode_result {
 /// Extended Hamming SECDED codec for a configurable data width.
 class hamming_secded {
  public:
+  /// Widest data word whose codeword fits the 64-bit carrier.
+  static constexpr unsigned max_data_bits = 57;
+
+  /// Codeword length d + p + 1 for d data bits (smallest p: 2^p >= d+p+1).
+  [[nodiscard]] static unsigned codeword_bits_for(unsigned data_bits);
+
   /// Builds the code for `data_bits` in [1, 57] and compiles its LUTs.
   explicit hamming_secded(unsigned data_bits);
 

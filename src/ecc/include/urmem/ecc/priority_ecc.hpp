@@ -34,6 +34,13 @@ class priority_ecc {
   [[nodiscard]] unsigned protected_bits() const { return protected_bits_; }
   [[nodiscard]] unsigned unprotected_bits() const { return word_bits_ - protected_bits_; }
 
+  /// storage_bits() of priority_ecc(word_bits, protected_bits).
+  [[nodiscard]] static unsigned storage_bits_for(unsigned word_bits,
+                                                 unsigned protected_bits) {
+    return word_bits - protected_bits +
+           hamming_secded::codeword_bits_for(protected_bits);
+  }
+
   /// Total storage columns per row, e.g. 38 for the H(22,16) default.
   [[nodiscard]] unsigned storage_bits() const {
     return unprotected_bits() + code_.codeword_bits();

@@ -4,22 +4,17 @@
 
 namespace urmem {
 
-namespace {
-
-// Smallest p with 2^p >= d + p + 1.
-unsigned required_parity_bits(unsigned data_bits) {
+unsigned hamming_secded::codeword_bits_for(unsigned data_bits) {
   unsigned p = 0;
   while ((word_t{1} << p) < data_bits + p + 1) ++p;
-  return p;
+  return data_bits + p + 1;
 }
 
-}  // namespace
-
 hamming_secded::hamming_secded(unsigned data_bits) : data_bits_(data_bits) {
-  expects(data_bits >= 1 && data_bits <= 57,
+  expects(data_bits >= 1 && data_bits <= max_data_bits,
           "hamming_secded supports 1..57 data bits (codeword must fit 64 bits)");
-  parity_bits_ = required_parity_bits(data_bits);
-  codeword_bits_ = data_bits + parity_bits_ + 1;
+  codeword_bits_ = codeword_bits_for(data_bits);
+  parity_bits_ = codeword_bits_ - data_bits - 1;
 
   // Codeword column 0 carries the overall parity bit; columns 1..n-1 use
   // the classical Hamming position numbering, so column i == position i:

@@ -11,7 +11,7 @@ priority_ecc::priority_ecc(unsigned word_bits, unsigned protected_bits)
   expects(is_valid_width(word_bits), "word width must be 1..64");
   expects(protected_bits >= 1 && protected_bits < word_bits,
           "protected_bits must be in [1, word_bits)");
-  expects(storage_bits() <= max_word_width,
+  expects(storage_bits_for(word_bits, protected_bits) <= max_word_width,
           "P-ECC storage row must fit in 64 columns");
 }
 

@@ -42,7 +42,6 @@ class fault_plane {
 
   [[nodiscard]] const array_geometry& geometry() const { return geometry_; }
   [[nodiscard]] std::uint64_t fault_count() const { return fault_count_; }
-  [[nodiscard]] bool any_faults() const { return fault_count_ != 0; }
 
   /// Read-visible corruption of `ideal` stored in `row`: three word ops.
   /// Bit-identical to fault_map::corrupt for width-masked input.

@@ -46,29 +46,27 @@ unsigned parse_protected_bits(const option_map& options,
                      "must be in [1, " + std::to_string(width - 1) +
                          "], got " + std::to_string(protected_bits));
   }
-  // The row holds the W - k raw bits beside an H(k + p + 1, k) codeword,
-  // W + p + 1 columns in all; with k = 1 (p = 2) it is narrowest, so
-  // blame the width when even that overflows, else the protected bits.
-  unsigned parity = 0;
-  while ((1u << parity) < protected_bits + parity + 1) ++parity;
-  if (width + parity + 1 > max_word_width) {
-    throw spec_error(width + 3 > max_word_width
+  // The row is narrowest with one protected bit, so blame the width
+  // when even that overflows, else the protected bits.
+  const unsigned storage =
+      priority_ecc::storage_bits_for(width, protected_bits);
+  if (storage > max_word_width) {
+    throw spec_error(priority_ecc::storage_bits_for(width, 1) > max_word_width
                          ? "geometry.word_bits"
                          : options.field_name("protected-bits"),
-                     "P-ECC storage row of " +
-                         std::to_string(width + parity + 1) +
+                     "P-ECC storage row of " + std::to_string(storage) +
                          " columns exceeds the 64-bit carrier");
   }
   return protected_bits;
 }
 
-/// H(W + p + 1, W) fits the 64-bit carrier up to W = 57.
 void validate_secded_width(const geometry_spec& geometry) {
-  if (geometry.word_bits > 57) {
+  if (geometry.word_bits > hamming_secded::max_data_bits) {
     throw spec_error("geometry.word_bits",
                      "SECDED codeword exceeds the 64-bit carrier at " +
                          std::to_string(geometry.word_bits) +
-                         " data bits (at most 57)");
+                         " data bits (at most " +
+                         std::to_string(hamming_secded::max_data_bits) + ")");
   }
 }
 

@@ -544,13 +544,6 @@ class multifault_policy_workload final : public workload {
 /// from the same array.
 class lut_faults_workload final : public workload {
  public:
-  explicit lut_faults_workload(const option_map& options)
-      : trials_(options.get_u64("trials", 200)) {
-    if (trials_ < 1) {
-      throw spec_error(options.field_name("trials"), "must be at least 1");
-    }
-  }
-
   workload_output run(const scenario_spec& spec,
                       campaign_pool& pool) const override {
     reject_schemes(spec, "lut-faults");
@@ -569,8 +562,8 @@ class lut_faults_workload final : public workload {
     campaign_runner& runner = pool.runner();
     const std::vector<std::pair<double, double>> mses =
         runner.map<std::pair<double, double>>(
-            max_nfm * trials_, [&](std::uint64_t trial, rng& gen) {
-              const auto n_fm = static_cast<unsigned>(trial / trials_) + 1;
+            max_nfm * trials, [&](std::uint64_t trial, rng& gen) {
+              const auto n_fm = static_cast<unsigned>(trial / trials) + 1;
               // Per trial: the distribution caches its table lazily.
               const binomial_distribution data_faults(geometry.cells(), pcell);
               const fault_map faults = sample_fault_map_binomial(
@@ -608,7 +601,7 @@ class lut_faults_workload final : public workload {
     std::ostringstream out;
     out << geometry.rows << " x " << geometry.width
         << " array, Pcell = " << format_scientific(pcell, 2)
-        << " for both data cells and LUT bits, " << trials_
+        << " for both data cells and LUT bits, " << trials
         << " Monte-Carlo arrays per point, each read through the programmed "
            "LUT and a corrupted copy.\n\n";
     console_table table({"nFM", "mean MSE, robust LUT", "mean MSE, faulty LUT",
@@ -617,17 +610,24 @@ class lut_faults_workload final : public workload {
     output.trials = runner.last_stats().trials;
     output.json = json_value::make_object();
     output.json.set("pcell", pcell);
-    output.json.set("trials", trials_);
+    output.json.set("trials", trials);
     json_value points = json_value::make_array();
     for (unsigned n_fm = 1; n_fm <= max_nfm; ++n_fm) {
       double robust = 0.0;
       double faulty = 0.0;
-      for (std::uint64_t t = 0; t < trials_; ++t) {
-        robust += mses[(n_fm - 1) * trials_ + t].first;
-        faulty += mses[(n_fm - 1) * trials_ + t].second;
+      for (std::uint64_t t = 0; t < trials; ++t) {
+        robust += mses[(n_fm - 1) * trials + t].first;
+        faulty += mses[(n_fm - 1) * trials + t].second;
       }
-      robust /= static_cast<double>(trials_);
-      faulty /= static_cast<double>(trials_);
+      if (robust == 0.0) {
+        throw spec_error("fault.pcell",
+                         "no lut-faults trial at Pcell " +
+                             format_scientific(pcell, 2) +
+                             " read back a wrong word, so the inflation "
+                             "ratio is undefined; raise the Pcell");
+      }
+      robust /= static_cast<double>(trials);
+      faulty /= static_cast<double>(trials);
       table.add_row({std::to_string(n_fm), format_scientific(robust, 3),
                      format_scientific(faulty, 3),
                      format_double(faulty / robust, 3) + "x"});
@@ -646,7 +646,8 @@ class lut_faults_workload final : public workload {
   }
 
  private:
-  std::uint64_t trials_;
+  /// Monte-Carlo arrays per nFM point.
+  static constexpr std::uint64_t trials = 200;
 };
 
 }  // namespace
@@ -686,9 +687,9 @@ void register_domain_workloads(workload_registry& registry) {
                });
   registry.add("lut-faults",
                "MSE inflation when the FM-LUT bits fail too (LUT robustness)",
-               "trials=200",
-               [](const option_map& options) {
-                 return std::make_unique<lut_faults_workload>(options);
+               "",
+               [](const option_map& /*options*/) {
+                 return std::make_unique<lut_faults_workload>();
                });
 }
 

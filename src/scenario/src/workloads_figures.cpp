@@ -379,8 +379,6 @@ class fig7_workload final : public workload {
 /// fault-free metric through the quantized storage path.
 class table1_workload final : public workload {
  public:
-  explicit table1_workload(const option_map& /*options*/) {}
-
   workload_output run(const scenario_spec& spec,
                       campaign_pool& pool) const override {
     reject_schemes(spec, "table1-apps");
@@ -474,8 +472,6 @@ class table1_workload final : public workload {
 /// collapses at 0.73 V (Sec. 2).
 class fig2_workload final : public workload {
  public:
-  explicit fig2_workload(const option_map& /*options*/) {}
-
   workload_output run(const scenario_spec& spec,
                       campaign_pool& /*pool*/) const override {
     reject_schemes(spec, "fig2-pcell");
@@ -545,8 +541,6 @@ class fig2_workload final : public workload {
 /// bounded by 2^(S-1) with S = W / 2^nFM.
 class fig4_workload final : public workload {
  public:
-  explicit fig4_workload(const option_map& /*options*/) {}
-
   workload_output run(const scenario_spec& spec,
                       campaign_pool& /*pool*/) const override {
     reject_schemes(spec, "fig4-error");
@@ -619,8 +613,6 @@ class fig4_workload final : public workload {
 /// realization trade (SRAM columns vs register file).
 class fig6_workload final : public workload {
  public:
-  explicit fig6_workload(const option_map& /*options*/) {}
-
   workload_output run(const scenario_spec& spec,
                       campaign_pool& /*pool*/) const override {
     reject_schemes(spec, "fig6-overhead");
@@ -784,14 +776,14 @@ void register_figure_workloads(workload_registry& registry) {
   registry.add("fig2-pcell",
                "cell failure probability and array yield vs VDD (Fig. 2)",
                "",
-               [](const option_map& options) {
-                 return std::make_unique<fig2_workload>(options);
+               [](const option_map& /*options*/) {
+                 return std::make_unique<fig2_workload>();
                });
   registry.add("fig4-error",
                "error magnitude per faulty bit position for each nFM (Fig. 4)",
                "",
-               [](const option_map& options) {
-                 return std::make_unique<fig4_workload>(options);
+               [](const option_map& /*options*/) {
+                 return std::make_unique<fig4_workload>();
                });
   registry.add("fig5-mse",
                "CDF of the memory MSE under fault injection (paper Fig. 5)",
@@ -802,8 +794,8 @@ void register_figure_workloads(workload_registry& registry) {
   registry.add("fig6-overhead",
                "read power, delay and area vs H(39,32) SECDED (Fig. 6)",
                "",
-               [](const option_map& options) {
-                 return std::make_unique<fig6_workload>(options);
+               [](const option_map& /*options*/) {
+                 return std::make_unique<fig6_workload>();
                });
   registry.add("fig7-quality",
                "CDF of application quality under memory failures (Fig. 7)",
@@ -814,8 +806,8 @@ void register_figure_workloads(workload_registry& registry) {
   registry.add("table1-apps",
                "evaluation applications, datasets and clean metrics (Table 1)",
                "",
-               [](const option_map& options) {
-                 return std::make_unique<table1_workload>(options);
+               [](const option_map& /*options*/) {
+                 return std::make_unique<table1_workload>();
                });
 }
 

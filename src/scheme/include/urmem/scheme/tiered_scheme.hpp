@@ -50,8 +50,6 @@ class tiered_scheme final : public protection_scheme {
   /// Max over tiers: the side-table column count the tile manufactures.
   [[nodiscard]] unsigned lut_bits_per_row() const override;
 
-  [[nodiscard]] std::size_t tier_count() const { return tiers_.size(); }
-  [[nodiscard]] const tier& tier_at(std::size_t i) const { return tiers_[i]; }
   /// Index of the tier owning `row`.
   [[nodiscard]] std::size_t tier_of(std::uint32_t row) const;
 

@@ -61,13 +61,6 @@ class shuffle_scheme {
   void restore_read_block(std::uint32_t first, std::span<const word_t> stored,
                           std::span<word_t> out) const;
 
-  /// Logical data-bit position corrupted by a fault at physical column
-  /// `col` of `row` under the current LUT programming.
-  [[nodiscard]] unsigned logical_fault_position(std::uint32_t row,
-                                                std::uint32_t col) const {
-    return shuffler_.logical_position(col, lut_.get(row));
-  }
-
  private:
   bit_shuffler shuffler_;
   fm_lut lut_;

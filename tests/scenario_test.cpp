@@ -520,6 +520,24 @@ TEST(ScenarioRunner, ValidatesNamesEagerly) {
   EXPECT_THROW(scenario_runner{bad_scheme}, spec_error);
 }
 
+// lut-faults prints faulty / robust MSE: a Pcell at which no trial reads
+// back a wrong word must blame fault.pcell, not print inf or nan.
+TEST(ScenarioRunner, LutFaultsRejectsAPcellThatCorruptsNoRead) {
+  for (const std::string pcell : {"0", "1e-9"}) {
+    SCOPED_TRACE("pcell=" + pcell);
+    const scenario_spec spec = scenario_spec::parse_text(
+        R"({"geometry": {"rows_per_tile": 64}, "fault": {"pcell": )" + pcell +
+        R"(}, "run": {"threads": 1}, "workload": "lut-faults"})");
+    std::ostringstream text;
+    try {
+      (void)scenario_runner(spec).run(text);
+      ADD_FAILURE() << "expected spec_error";
+    } catch (const spec_error& error) {
+      EXPECT_EQ(error.field(), "fault.pcell");
+    }
+  }
+}
+
 // Every spec under scenarios/ parses, and each one that names a workload
 // resolves its schemes and workload eagerly (no trial runs), so a spec
 // nothing else loads cannot rot unnoticed.
