@@ -36,6 +36,29 @@ class knn_classifier {
   /// Mean accuracy on a labeled holdout set.
   [[nodiscard]] double score(const matrix& x, const std::vector<int>& labels) const;
 
+  /// The first `depth` entries of each query's (squared distance,
+  /// training index) order over the fitted training set: query q's
+  /// entries sit at [q * depth, (q + 1) * depth). depth is capped at
+  /// the training set size.
+  struct neighbor_prefix {
+    std::size_t depth = 0;
+    std::vector<std::pair<double, std::size_t>> entries;
+  };
+  [[nodiscard]] neighbor_prefix nearest_prefix(const matrix& queries,
+                                               std::size_t depth) const;
+
+  /// predict(queries) of a classifier with these labels fitted on
+  /// `stored`, which equals the fitted training set except in the rows
+  /// `changed` (ascending); `prefix` is nearest_prefix(queries, ...) of
+  /// this classifier. Only the changed rows' distances are computed,
+  /// with the same kernel as predict. Each query merges them with the
+  /// first k unchanged rows of its prefix, in the same total order, so
+  /// the labels are identical; a query whose prefix holds fewer than k
+  /// unchanged rows takes a full pass over `stored`.
+  [[nodiscard]] std::vector<int> predict_changed(
+      const matrix& queries, const neighbor_prefix& prefix,
+      const matrix& stored, std::span<const std::size_t> changed) const;
+
  private:
   /// Per-query working storage, reused across the rows of predict().
   struct query_buffers {
@@ -46,6 +69,10 @@ class knn_classifier {
 
   [[nodiscard]] int predict_one(std::span<const double> query,
                                 query_buffers& buffers) const;
+
+  /// Majority vote over the labels of `nearest`; ties resolve to the
+  /// smaller label.
+  [[nodiscard]] int vote(query_buffers& buffers) const;
 
   std::size_t k_;
   matrix train_by_feature_;  // p x n: row j is feature j of every training row

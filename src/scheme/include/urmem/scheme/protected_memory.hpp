@@ -87,6 +87,13 @@ class protected_memory {
   /// a fault-free map leaves row_remaps() empty.
   void set_fault_map(fault_map faults);
 
+  /// Logical rows whose readback can differ from the word written, in
+  /// ascending order: rows whose physical row holds a fault, plus every
+  /// remapped row. Any other row decodes clean to exactly what was
+  /// written (the fault-free row contract of protection_scheme.hpp), so
+  /// a store/readback pass may skip it. O(faults + remaps).
+  [[nodiscard]] std::vector<std::uint32_t> at_risk_rows() const;
+
   /// (logical row -> spare row) assignments of the last repair.
   [[nodiscard]] const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
   row_remaps() const {

@@ -19,6 +19,15 @@
 //     worst_case_row_cost(row, cols) is derived from it as sum 4^b, so
 //     the yield machinery (Fig. 5) evaluates millions of fault maps
 //     through this one hook without touching stored data.
+//
+// Fault-free row contract: whatever fault map configured the scheme, a
+// row whose stored word suffers no fault decodes to exactly the word
+// written, with ecc_status::clean, on both the block and the reference
+// path. Configuration may change how a row is stored (a shuffle shift,
+// a tier's code), never whether a clean row round-trips. The sparse
+// store/readback pipeline relies on this to skip every row outside
+// protected_memory::at_risk_rows(); property_test checks it for every
+// registered scheme recipe.
 #pragma once
 
 #include <concepts>

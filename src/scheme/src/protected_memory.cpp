@@ -148,6 +148,20 @@ std::uint32_t protected_memory::unused_spares(std::size_t index) const {
   return free;
 }
 
+std::vector<std::uint32_t> protected_memory::at_risk_rows() const {
+  std::vector<std::uint32_t> rows;
+  for_each_faulty_row(array_.faults().faults_in_rows(0, logical_rows_),
+                      [&](std::uint32_t row, std::span<const fault>) {
+                        if (physical_row(row) == row) rows.push_back(row);
+                      });
+  // A remapped row reads its spare, faulty or not; remaps_ is sorted and
+  // disjoint from the rows above, so one merge keeps the order.
+  const auto middle = static_cast<std::ptrdiff_t>(rows.size());
+  for (const auto& [logical, spare] : remaps_) rows.push_back(logical);
+  std::inplace_merge(rows.begin(), rows.begin() + middle, rows.end());
+  return rows;
+}
+
 std::optional<std::uint32_t> protected_memory::retire_row(std::uint32_t row,
                                                           word_t data) {
   return retire_row_to_region(row, region_of(row), data);

@@ -11,10 +11,19 @@
 // Only the training *features* live in the unreliable data memory;
 // targets/labels are control data held in reliable storage (the paper
 // does not state otherwise, and data memories hold bulk numeric data).
+//
+// A fault-injection trial changes few training rows (the sparse
+// store_and_readback reports which), so make_delta_evaluator lets an
+// application build state once from the clean readback and score each
+// trial from its changed rows. Only KNN uses it: it re-ranks each test
+// query against the changed rows and a bounded prefix of the query's
+// clean neighbor order. Elasticnet and PCA retrain in full.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,6 +52,19 @@ class application {
   /// Trains on `stored_train_features` (same shape as train_features())
   /// and returns the quality metric measured on the clean test set.
   [[nodiscard]] virtual double evaluate(const matrix& stored_train_features) const = 0;
+
+  /// Scores a readback that differs from the clean readback only in
+  /// `changed_rows` (ascending training-row indices).
+  using delta_evaluator = std::function<double(
+      const matrix& stored, std::span<const std::size_t> changed_rows)>;
+
+  /// Builds, once from the fault-free readback `clean_stored`, an
+  /// evaluator that returns exactly evaluate(stored) and may be called
+  /// from many threads at once; it refers to this application, which
+  /// must outlive it. Default: ignores the changed rows and calls
+  /// evaluate.
+  [[nodiscard]] virtual delta_evaluator make_delta_evaluator(
+      const matrix& clean_stored) const;
 };
 
 /// Elasticnet regression on wine-like data (metric: R^2).

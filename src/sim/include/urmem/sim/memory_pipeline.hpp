@@ -6,11 +6,25 @@
 // several tiles, each an independent protected_memory instance with its
 // own fault map (exactly N failures per tile in the stratified Fig. 7
 // sweep, or Binomial(M, Pcell) per tile otherwise).
+//
+// A trial pays for its faults, not for the array. The clean image (the
+// fixed-point words and their dequantized values) is built once per
+// input and storage config. Per tile, a trial builds the tile, draws
+// its fault map and installs it exactly as a whole-tile pass would, but
+// then streams only the at-risk rows (faulty or remapped, see
+// protected_memory::at_risk_rows) through write_block/read_block: every
+// other row reads back exactly what was written (the fault-free row
+// contract of protection_scheme.hpp) and counts as neither corrected
+// nor uncorrectable. The readback is the clean values with the changed
+// words patched in, bit-identical to dequantizing a whole-tile pass,
+// and it lists the matrix rows that changed so an application can
+// re-score only those (application::make_delta_evaluator).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/memory/fault_sampler.hpp"
@@ -50,9 +64,36 @@ struct pipeline_stats {
   std::uint64_t uncorrectable_words = 0;  ///< decoder flagged detected_uncorrectable
 };
 
-/// Writes `input` through scheme-protected faulty tiles and reads it
-/// back. Each tile gets a fresh scheme from `factory` and a fault map
-/// from `inject`.
+/// The clean image of a matrix in one storage config: its row-major
+/// fixed-point words and their dequantized values, which is exactly
+/// what a fault-free store reads back.
+struct quantized_matrix {
+  std::vector<word_t> words;
+  matrix values;
+};
+
+/// Quantizes `input` to `config`'s Q-format words.
+[[nodiscard]] quantized_matrix quantize(const matrix& input,
+                                        const storage_config& config);
+
+/// One store/readback pass: the restored matrix and the rows in which
+/// it differs from the clean values (ascending).
+struct readback {
+  matrix values;
+  std::vector<std::size_t> changed_rows;
+};
+
+/// Writes `clean.words` through scheme-protected faulty tiles and reads
+/// them back. Each tile gets a fresh scheme from `factory` and a fault
+/// map from `inject`; only its at-risk rows are written and read.
+[[nodiscard]] readback store_and_readback(const quantized_matrix& clean,
+                                          const storage_config& config,
+                                          const scheme_factory& factory,
+                                          const fault_injector& inject,
+                                          rng& gen,
+                                          pipeline_stats* stats = nullptr);
+
+/// Quantizes `input` and runs the pass above, returning the values.
 [[nodiscard]] matrix store_and_readback(const matrix& input,
                                         const storage_config& config,
                                         const scheme_factory& factory,

@@ -12,6 +12,13 @@
 
 namespace urmem {
 
+application::delta_evaluator application::make_delta_evaluator(
+    const matrix& /*clean_stored*/) const {
+  return [this](const matrix& stored, std::span<const std::size_t>) {
+    return evaluate(stored);
+  };
+}
+
 namespace {
 
 /// Shared split/standardize plumbing: the scaler is fitted on the clean
@@ -110,12 +117,39 @@ class knn_app final : public application {
     expects(stored.rows() == data_.train_x.rows() &&
                 stored.cols() == data_.train_x.cols(),
             "stored training features have the wrong shape");
-    knn_classifier model(5);
+    knn_classifier model(k);
     model.fit(stored, data_.train_labels);
     return model.score(data_.test_x, data_.test_labels);
   }
 
+  [[nodiscard]] delta_evaluator make_delta_evaluator(
+      const matrix& clean_stored) const override {
+    expects(clean_stored.rows() == data_.train_x.rows() &&
+                clean_stored.cols() == data_.train_x.cols(),
+            "clean training features have the wrong shape");
+    struct baseline {
+      knn_classifier model{k};
+      knn_classifier::neighbor_prefix prefix;
+    };
+    auto clean = std::make_shared<baseline>();
+    clean->model.fit(clean_stored, data_.train_labels);
+    clean->prefix = clean->model.nearest_prefix(data_.test_x, prefix_depth);
+    return [this, clean = std::shared_ptr<const baseline>(std::move(clean))](
+               const matrix& stored, std::span<const std::size_t> changed) {
+      return accuracy_score(
+          data_.test_labels,
+          clean->model.predict_changed(data_.test_x, clean->prefix, stored,
+                                       changed));
+    };
+  }
+
  private:
+  static constexpr std::size_t k = 5;
+  /// Clean neighbors kept per test query: 300 x 32 entries is ~150 KB,
+  /// where the full order would hold 300 x 1200. A trial changes ~10%
+  /// of the rows, so 32 almost always leave k unchanged neighbors.
+  static constexpr std::size_t prefix_depth = 32;
+
   prepared_data data_;
 };
 

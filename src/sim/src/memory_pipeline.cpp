@@ -2,28 +2,40 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "urmem/common/binomial.hpp"
 #include "urmem/common/contracts.hpp"
 
 namespace urmem {
 
-matrix store_and_readback(const matrix& input, const storage_config& config,
-                          const scheme_factory& factory, const fault_injector& inject,
-                          rng& gen, pipeline_stats* stats) {
-  expects(config.rows_per_tile >= 1, "tiles need at least one row");
+quantized_matrix quantize(const matrix& input, const storage_config& config) {
   const matrix_quantizer quantizer(
       fixed_point_codec(config.word_bits, config.frac_bits));
-  const std::vector<word_t> words = quantizer.to_words(input);
+  std::vector<word_t> words = quantizer.to_words(input);
+  matrix values = quantizer.from_words(words, input.rows(), input.cols());
+  return {std::move(words), std::move(values)};
+}
 
+readback store_and_readback(const quantized_matrix& clean,
+                            const storage_config& config,
+                            const scheme_factory& factory,
+                            const fault_injector& inject, rng& gen,
+                            pipeline_stats* stats) {
+  expects(config.rows_per_tile >= 1, "tiles need at least one row");
   expects(config.regions.empty() || config.spare_rows_per_tile == 0,
           "a region table replaces spare_rows_per_tile");
-  std::vector<word_t> restored(words.size());
+  const std::span<const word_t> words(clean.words);
+  expects(words.size() == clean.values.rows() * clean.values.cols(),
+          "clean words do not match the clean values");
+  const fixed_point_codec codec(config.word_bits, config.frac_bits);
+  readback out{clean.values, {}};
+  const std::span<double> values = out.values.data();
+  std::vector<word_t> restored;
   pipeline_stats local;
-  std::size_t cursor = 0;
-  while (cursor < words.size()) {
-    const auto tile_words = std::min<std::size_t>(config.rows_per_tile,
-                                                  words.size() - cursor);
+  for (std::size_t base = 0; base < words.size(); base += config.rows_per_tile) {
+    const auto tile_words =
+        std::min<std::size_t>(config.rows_per_tile, words.size() - base);
     std::unique_ptr<protection_scheme> scheme = factory(config.rows_per_tile);
     expects(scheme != nullptr, "scheme factory returned null");
     expects(scheme->data_bits() == config.word_bits,
@@ -39,20 +51,46 @@ matrix store_and_readback(const matrix& input, const storage_config& config,
     local.injected_faults += faults.fault_count();
     memory.set_fault_map(std::move(faults));
 
-    // Stream the whole tile through the batched block-codec +
-    // fault-plane path: one scheme call and one row op per direction
-    // instead of per-word virtual calls.
-    memory.write_block(0, std::span<const word_t>(words).subspan(cursor, tile_words));
-    protected_memory::block_stats block;
-    memory.read_block(0, std::span<word_t>(restored).subspan(cursor, tile_words),
-                      &block);
-    local.corrected_words += block.corrected;
-    local.uncorrectable_words += block.uncorrectable;
+    // Stream each run of consecutive at-risk rows through the batched
+    // block-codec + fault-plane path, then patch the words that changed.
+    const std::vector<std::uint32_t> rows = memory.at_risk_rows();
+    for (std::size_t i = 0; i < rows.size() && rows[i] < tile_words;) {
+      std::size_t end = i + 1;
+      while (end < rows.size() && rows[end] == rows[end - 1] + 1 &&
+             rows[end] < tile_words) {
+        ++end;
+      }
+      const std::uint32_t first = rows[i];
+      const std::span<const word_t> written =
+          words.subspan(base + first, end - i);
+      memory.write_block(first, written);
+      restored.resize(written.size());
+      protected_memory::block_stats block;
+      memory.read_block(first, restored, &block);
+      local.corrected_words += block.corrected;
+      local.uncorrectable_words += block.uncorrectable;
+      for (std::size_t k = 0; k < written.size(); ++k) {
+        if (restored[k] == written[k]) continue;
+        const std::size_t word = base + first + k;
+        values[word] = codec.decode(restored[k]);
+        const std::size_t row = word / out.values.cols();
+        if (out.changed_rows.empty() || out.changed_rows.back() != row) {
+          out.changed_rows.push_back(row);
+        }
+      }
+      i = end;
+    }
     ++local.tiles;
-    cursor += tile_words;
   }
   if (stats != nullptr) *stats = local;
-  return quantizer.from_words(restored, input.rows(), input.cols());
+  return out;
+}
+
+matrix store_and_readback(const matrix& input, const storage_config& config,
+                          const scheme_factory& factory, const fault_injector& inject,
+                          rng& gen, pipeline_stats* stats) {
+  return store_and_readback(quantize(input, config), config, factory, inject,
+                            gen, stats).values;
 }
 
 fault_injector exact_fault_injector(std::uint64_t n, fault_polarity polarity) {

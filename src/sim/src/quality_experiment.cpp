@@ -26,16 +26,15 @@ quality_result run_quality_experiment(const application& app,
   expects(config.samples_per_count >= 1, "need at least one sample per count");
   expects(config.pcell > 0.0 && config.pcell < 1.0, "pcell must be in (0,1)");
 
-  // Fault-free baseline: quantization round trip only, on a reserved
-  // named stream outside the numbered trial range (the shared
-  // seed-derivation policy of rng.hpp — no per-binary magic constants).
-  rng baseline_gen = named_stream_rng(runner.seed(), "quality.baseline");
-  const matrix clean_stored =
-      store_and_readback(app.train_features(), config.storage, factory,
-                         no_fault_injector(), baseline_gen);
-  const double clean_metric = app.evaluate(clean_stored);
+  // Fault-free baseline: the quantization round trip, which is exactly
+  // what a fault-free store reads back. Every trial starts from this
+  // image and re-scores only the rows its faults changed.
+  const quantized_matrix clean = quantize(app.train_features(), config.storage);
+  const double clean_metric = app.evaluate(clean.values);
   ensures(std::isfinite(clean_metric) && clean_metric != 0.0,
           "clean baseline metric must be finite and nonzero");
+  const application::delta_evaluator evaluate =
+      app.make_delta_evaluator(clean.values);
 
   const std::uint64_t n_max = failure_count_limit(config);
   const array_geometry geometry{config.storage.rows_per_tile,
@@ -63,10 +62,9 @@ quality_result run_quality_experiment(const application& app,
         const stratum& s = strata[trial / config.samples_per_count];
         const fault_injector inject =
             exact_fault_injector(s.n, config.polarity);
-        const matrix stored = store_and_readback(app.train_features(),
-                                                 config.storage, factory,
-                                                 inject, gen);
-        const double metric = app.evaluate(stored);
+        const readback stored =
+            store_and_readback(clean, config.storage, factory, inject, gen);
+        const double metric = evaluate(stored.values, stored.changed_rows);
         const double normalized = std::clamp(
             std::isfinite(metric) ? metric / clean_metric : 0.0, 0.0, 1.0);
         return {normalized, s.weight_each};

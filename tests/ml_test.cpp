@@ -412,6 +412,118 @@ TEST(KnnTest, TiesBreakByTrainingIndexLikeFullSortOracle) {
   }
 }
 
+// ------------------------------------------------------------ knn delta
+
+// predict_changed must equal fitting a fresh classifier on `stored`.
+void expect_delta_matches_full(const matrix& clean,
+                               const std::vector<int>& labels,
+                               const matrix& stored,
+                               const std::vector<std::size_t>& changed,
+                               const matrix& queries, std::size_t k,
+                               std::size_t depth) {
+  knn_classifier baseline(k);
+  baseline.fit(clean, labels);
+  const knn_classifier::neighbor_prefix prefix =
+      baseline.nearest_prefix(queries, depth);
+  knn_classifier full(k);
+  full.fit(stored, labels);
+  EXPECT_EQ(baseline.predict_changed(queries, prefix, stored, changed),
+            full.predict(queries))
+      << "k=" << k << " depth=" << depth << " changed=" << changed.size();
+}
+
+TEST(KnnDeltaTest, MatchesFullPredictOnEveryChangeSetShape) {
+  // Small-integer grid points: exact distances, so ties are genuine.
+  rng gen(41);
+  const auto grid_point = [&](matrix& m, std::size_t row, int span) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      m(row, j) = static_cast<double>(gen() % static_cast<unsigned>(span)) -
+                  static_cast<double>(span / 2);
+    }
+  };
+  matrix clean(40, 3);
+  std::vector<int> labels(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    grid_point(clean, i, 3);
+    labels[i] = static_cast<int>(gen() % 4);
+  }
+  matrix queries(30, 3);
+  for (std::size_t q = 0; q < 30; ++q) grid_point(queries, q, 5);
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+    for (const std::size_t depth : {k, std::size_t{8}, std::size_t{40}}) {
+      // Empty change set.
+      expect_delta_matches_full(clean, labels, clean, {}, queries, k, depth);
+      // One row moved.
+      matrix one = clean;
+      grid_point(one, 7, 5);
+      expect_delta_matches_full(clean, labels, one, {7}, queries, k, depth);
+      // Changed rows that duplicate other rows: exact distance ties
+      // between a changed and an unchanged row.
+      matrix dup = clean;
+      const std::vector<std::size_t> dup_rows{3, 11, 20};
+      const std::size_t sources[] = {4, 12, 0};
+      for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j) dup(dup_rows[i], j) = clean(sources[i], j);
+      }
+      expect_delta_matches_full(clean, labels, dup, dup_rows, queries, k, depth);
+      // Query 0's whole prefix changed: fewer than k unchanged rows are
+      // left in it, so that query takes the full pass.
+      knn_classifier baseline(k);
+      baseline.fit(clean, labels);
+      const auto prefix = baseline.nearest_prefix(queries, depth);
+      std::vector<std::size_t> crowded;
+      for (std::size_t e = 0; e < prefix.depth; ++e) {
+        crowded.push_back(prefix.entries[e].second);
+      }
+      std::sort(crowded.begin(), crowded.end());
+      matrix moved = clean;
+      for (const std::size_t row : crowded) grid_point(moved, row, 5);
+      expect_delta_matches_full(clean, labels, moved, crowded, queries, k, depth);
+      // Every row changed.
+      matrix all = clean;
+      std::vector<std::size_t> every(40);
+      for (std::size_t i = 0; i < 40; ++i) {
+        every[i] = i;
+        grid_point(all, i, 5);
+      }
+      expect_delta_matches_full(clean, labels, all, every, queries, k, depth);
+    }
+  }
+}
+
+TEST(KnnDeltaTest, ChangedRowOnTheKthDistanceBreaksTiesByIndex) {
+  // Query 0: rows 1 and 3 tie at d^2 = 1, row 1 wins on index.
+  matrix clean(5, 1);
+  const double xs[] = {5.0, 1.0, 9.0, -1.0, 3.0};
+  for (std::size_t i = 0; i < 5; ++i) clean(i, 0) = xs[i];
+  const std::vector<int> labels{0, 1, 2, 3, 4};
+  const matrix queries(1, 1, 0.0);
+  knn_classifier baseline(1);
+  baseline.fit(clean, labels);
+  const auto prefix = baseline.nearest_prefix(queries, 5);
+  EXPECT_EQ(baseline.predict(queries), std::vector<int>{1});
+
+  // Row 0 lands on the 1st distance with a smaller index: it takes over.
+  matrix before = clean;
+  before(0, 0) = -1.0;
+  EXPECT_EQ(baseline.predict_changed(queries, prefix, before, std::vector<std::size_t>{0}),
+            std::vector<int>{0});
+  // Row 2 lands there with a larger index: row 1 keeps its place.
+  matrix after = clean;
+  after(2, 0) = 1.0;
+  EXPECT_EQ(baseline.predict_changed(queries, prefix, after, std::vector<std::size_t>{2}),
+            std::vector<int>{1});
+  // The same boundary at k = 2 (vote ties go to the smaller label).
+  for (const std::size_t depth : {std::size_t{2}, std::size_t{5}}) {
+    expect_delta_matches_full(clean, labels, before, {0}, queries, 2, depth);
+    expect_delta_matches_full(clean, labels, after, {2}, queries, 2, depth);
+    matrix last = clean;
+    last(4, 0) = 1.0;  // ties the 2nd at d^2 = 1 with the largest index
+    expect_delta_matches_full(clean, labels, last, {4}, queries, 2, depth);
+  }
+}
+
 // -------------------------------------------------------- output bits
 
 // Deterministic stand-in for a faulty memory: about a third of the

@@ -409,6 +409,18 @@ TEST(Merge, RejectsDirectoriesFromDifferentCampaigns) {
 
 // ---------------------------------------------------- fs + hash helpers
 
+TEST(FsHelpers, AtomicWriteReplacesContentAndLeavesNoTempFile) {
+  const std::string dir = scratch_dir("fs_replace");
+  const std::string path = dir + "/report.json";
+  write_file_atomic(path, std::string(4096, 'x'));
+  write_file_atomic(path, "short");  // must not keep the old tail
+  EXPECT_EQ(*read_file(path), "short");
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
+        << entry.path();
+  }
+}
+
 TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
   const std::string dir = scratch_dir("fs");
   const std::string path = dir + "/a/b/c.json";

@@ -127,6 +127,20 @@ TEST(PipelineTest, WidthMismatchRejected) {
       std::invalid_argument);
 }
 
+TEST(PipelineTest, CleanImageIsTheQuantizationRoundTrip) {
+  rng gen(7);
+  matrix m(20, 5);
+  for (double& v : m.data()) v = 3.0 * gen.normal();
+  storage_config config;
+  const quantized_matrix clean = quantize(m, config);
+  const matrix_quantizer quantizer;
+  EXPECT_EQ(clean.words, quantizer.to_words(m));
+  const matrix back = quantizer.roundtrip(m);
+  for (std::size_t i = 0; i < back.data().size(); ++i) {
+    EXPECT_EQ(clean.values.data()[i], back.data()[i]);
+  }
+}
+
 // ---------------------------------------------------------- applications
 
 TEST(ApplicationsTest, Table1Inventory) {
@@ -179,6 +193,38 @@ TEST(ApplicationsTest, MsbCorruptionHurtsEachApplication) {
 TEST(ApplicationsTest, ShapeMismatchRejected) {
   const auto app = make_elasticnet_app();
   EXPECT_THROW((void)app->evaluate(matrix(3, 3)), std::invalid_argument);
+}
+
+// Every application's delta evaluator returns exactly evaluate() on
+// real faulty readbacks; only KNN's takes a different path (re-ranking
+// the changed rows), and it must also hold when every row changed.
+TEST(ApplicationsTest, DeltaEvaluateEqualsEvaluate) {
+  const storage_config config;
+  const scheme_factory none = [](std::uint32_t) { return make_scheme_none(); };
+  for (const char* name : {"elasticnet", "pca", "knn"}) {
+    const auto app = make_application(name, 7);
+    const quantized_matrix clean = quantize(app->train_features(), config);
+    const application::delta_evaluator evaluate =
+        app->make_delta_evaluator(clean.values);
+    EXPECT_EQ(evaluate(clean.values, {}), app->evaluate(clean.values)) << name;
+    for (const std::uint64_t faults : {1u, 80u, 400u}) {
+      rng gen(faults);
+      const readback stored = store_and_readback(
+          clean, config, none, exact_fault_injector(faults), gen);
+      EXPECT_FALSE(stored.changed_rows.empty()) << name << " " << faults;
+      EXPECT_EQ(evaluate(stored.values, stored.changed_rows),
+                app->evaluate(stored.values))
+          << name << " " << faults << " faults";
+    }
+  }
+  const auto knn = make_knn_app(7);
+  const quantized_matrix clean = quantize(knn->train_features(), config);
+  matrix shifted = clean.values;
+  for (double& v : shifted.data()) v += 0.75;
+  std::vector<std::size_t> every(shifted.rows());
+  for (std::size_t i = 0; i < every.size(); ++i) every[i] = i;
+  EXPECT_EQ(knn->make_delta_evaluator(clean.values)(shifted, every),
+            knn->evaluate(shifted));
 }
 
 // ---------------------------------------------------- quality experiment
