@@ -140,7 +140,7 @@ TEST(FaultFreeRowContract, CleanRowsRoundTripOnBothPaths) {
   }
 }
 
-/// Words, stats and changed rows of one whole-tile pass.
+/// Restored words and stats of one whole-tile pass.
 struct dense_result {
   std::vector<word_t> restored;
   pipeline_stats stats;
