@@ -33,7 +33,8 @@ readback store_and_readback(const quantized_matrix& clean,
   const std::span<double> values = out.values.data();
   std::vector<word_t> restored;
   pipeline_stats local;
-  for (std::size_t base = 0; base < words.size(); base += config.rows_per_tile) {
+  for (std::size_t base = 0; base < words.size();
+       base += config.rows_per_tile) {
     const auto tile_words =
         std::min<std::size_t>(config.rows_per_tile, words.size() - base);
     std::unique_ptr<protection_scheme> scheme = factory(config.rows_per_tile);
@@ -87,8 +88,9 @@ readback store_and_readback(const quantized_matrix& clean,
 }
 
 matrix store_and_readback(const matrix& input, const storage_config& config,
-                          const scheme_factory& factory, const fault_injector& inject,
-                          rng& gen, pipeline_stats* stats) {
+                          const scheme_factory& factory,
+                          const fault_injector& inject, rng& gen,
+                          pipeline_stats* stats) {
   return store_and_readback(quantize(input, config), config, factory, inject,
                             gen, stats).values;
 }

@@ -464,9 +464,12 @@ TEST(KnnDeltaTest, MatchesFullPredictOnEveryChangeSetShape) {
       const std::vector<std::size_t> dup_rows{3, 11, 20};
       const std::size_t sources[] = {4, 12, 0};
       for (std::size_t i = 0; i < 3; ++i) {
-        for (std::size_t j = 0; j < 3; ++j) dup(dup_rows[i], j) = clean(sources[i], j);
+        for (std::size_t j = 0; j < 3; ++j) {
+          dup(dup_rows[i], j) = clean(sources[i], j);
+        }
       }
-      expect_delta_matches_full(clean, labels, dup, dup_rows, queries, k, depth);
+      expect_delta_matches_full(clean, labels, dup, dup_rows, queries, k,
+                                depth);
       // Query 0's whole prefix changed: fewer than k unchanged rows are
       // left in it, so that query takes the full pass.
       knn_classifier baseline(k);
@@ -479,7 +482,8 @@ TEST(KnnDeltaTest, MatchesFullPredictOnEveryChangeSetShape) {
       std::sort(crowded.begin(), crowded.end());
       matrix moved = clean;
       for (const std::size_t row : crowded) grid_point(moved, row, 5);
-      expect_delta_matches_full(clean, labels, moved, crowded, queries, k, depth);
+      expect_delta_matches_full(clean, labels, moved, crowded, queries, k,
+                                depth);
       // Every row changed.
       matrix all = clean;
       std::vector<std::size_t> every(40);
@@ -507,12 +511,14 @@ TEST(KnnDeltaTest, ChangedRowOnTheKthDistanceBreaksTiesByIndex) {
   // Row 0 lands on the 1st distance with a smaller index: it takes over.
   matrix before = clean;
   before(0, 0) = -1.0;
-  EXPECT_EQ(baseline.predict_changed(queries, prefix, before, std::vector<std::size_t>{0}),
+  const std::vector<std::size_t> row0{0};
+  EXPECT_EQ(baseline.predict_changed(queries, prefix, before, row0),
             std::vector<int>{0});
   // Row 2 lands there with a larger index: row 1 keeps its place.
   matrix after = clean;
   after(2, 0) = 1.0;
-  EXPECT_EQ(baseline.predict_changed(queries, prefix, after, std::vector<std::size_t>{2}),
+  const std::vector<std::size_t> row2{2};
+  EXPECT_EQ(baseline.predict_changed(queries, prefix, after, row2),
             std::vector<int>{1});
   // The same boundary at k = 2 (vote ties go to the smaller label).
   for (const std::size_t depth : {std::size_t{2}, std::size_t{5}}) {

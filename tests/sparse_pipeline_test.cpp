@@ -99,7 +99,8 @@ TEST(FaultFreeRowContract, CleanRowsRoundTripOnBothPaths) {
   for (const std::string& spec : recipe_specs()) {
     const scheme_recipe recipe = resolve(spec);
     const storage_config config = storage_of(recipe);
-    for (const fault_path path : {fault_path::compiled, fault_path::reference}) {
+    for (const fault_path path :
+         {fault_path::compiled, fault_path::reference}) {
       for (std::uint64_t draw = 0; draw < 6; ++draw) {
         SCOPED_TRACE(spec + (path == fault_path::reference ? " reference"
                                                            : " compiled") +
@@ -162,10 +163,12 @@ dense_result dense_store_and_readback(const std::vector<word_t>& words,
     fault_map faults = inject(memory.storage_geometry(), gen);
     out.stats.injected_faults += faults.fault_count();
     memory.set_fault_map(std::move(faults));
-    memory.write_block(0, std::span<const word_t>(words).subspan(cursor, tile_words));
+    memory.write_block(
+        0, std::span<const word_t>(words).subspan(cursor, tile_words));
     protected_memory::block_stats block;
-    memory.read_block(0, std::span<word_t>(out.restored).subspan(cursor, tile_words),
-                      &block);
+    memory.read_block(
+        0, std::span<word_t>(out.restored).subspan(cursor, tile_words),
+        &block);
     out.stats.corrected_words += block.corrected;
     out.stats.uncorrectable_words += block.uncorrectable;
     ++out.stats.tiles;
@@ -217,8 +220,9 @@ TEST(SparsePipeline, MatchesWholeTileOracleForEveryRecipe) {
       rng sparse_gen = make_stream_rng(23, i);
       rng dense_gen = make_stream_rng(23, i);
       pipeline_stats stats;
-      const readback sparse = store_and_readback(
-          clean, config, recipe.factory, injections[i].inject, sparse_gen, &stats);
+      const readback sparse =
+          store_and_readback(clean, config, recipe.factory,
+                             injections[i].inject, sparse_gen, &stats);
       const dense_result dense = dense_store_and_readback(
           clean.words, config, recipe.factory, injections[i].inject, dense_gen);
       EXPECT_EQ(sparse_gen(), dense_gen()) << "fault sampling drew differently";
@@ -261,10 +265,11 @@ TEST(SparsePipeline, MatrixOverloadReturnsTheSparseValues) {
   };
   rng gen_a(31);
   rng gen_b(31);
-  const matrix values =
-      store_and_readback(input, config, factory, exact_fault_injector(9), gen_a);
-  const readback sparse = store_and_readback(quantize(input, config), config,
-                                             factory, exact_fault_injector(9), gen_b);
+  const matrix values = store_and_readback(input, config, factory,
+                                           exact_fault_injector(9), gen_a);
+  const readback sparse =
+      store_and_readback(quantize(input, config), config, factory,
+                         exact_fault_injector(9), gen_b);
   for (std::size_t w = 0; w < values.data().size(); ++w) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(values.data()[w]),
               std::bit_cast<std::uint64_t>(sparse.values.data()[w]));
