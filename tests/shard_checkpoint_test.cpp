@@ -409,18 +409,6 @@ TEST(Merge, RejectsDirectoriesFromDifferentCampaigns) {
 
 // ---------------------------------------------------- fs + hash helpers
 
-TEST(FsHelpers, AtomicWriteReplacesContentAndLeavesNoTempFile) {
-  const std::string dir = scratch_dir("fs_replace");
-  const std::string path = dir + "/report.json";
-  write_file_atomic(path, std::string(4096, 'x'));
-  write_file_atomic(path, "short");  // must not keep the old tail
-  EXPECT_EQ(*read_file(path), "short");
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    EXPECT_EQ(entry.path().filename().string().find(".tmp."), std::string::npos)
-        << entry.path();
-  }
-}
-
 TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
   const std::string dir = scratch_dir("fs");
   const std::string path = dir + "/a/b/c.json";
@@ -428,10 +416,15 @@ TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
   EXPECT_EQ(*read_file(path), "payload");
   write_file_atomic(path, "replaced");
   EXPECT_EQ(*read_file(path), "replaced");
+  write_file_atomic(path, "short");  // must not keep the old tail
+  EXPECT_EQ(*read_file(path), "short");
   unsigned files = 0;
   for (const auto& entry :
        std::filesystem::recursive_directory_iterator(dir)) {
     if (entry.is_regular_file()) ++files;
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
   }
   EXPECT_EQ(files, 1u);
   EXPECT_FALSE(read_file(dir + "/nope.json").has_value());

@@ -254,27 +254,5 @@ TEST(SparsePipeline, MatchesWholeTileOracleForEveryRecipe) {
   }
 }
 
-TEST(SparsePipeline, MatrixOverloadReturnsTheSparseValues) {
-  matrix input(40, 3);
-  rng data_gen(29);
-  for (double& v : input.data()) v = data_gen.normal();
-  storage_config config;
-  config.rows_per_tile = 64;
-  const scheme_factory factory = [](std::uint32_t rows) {
-    return make_scheme_shuffle(rows, 32, 1);
-  };
-  rng gen_a(31);
-  rng gen_b(31);
-  const matrix values = store_and_readback(input, config, factory,
-                                           exact_fault_injector(9), gen_a);
-  const readback sparse =
-      store_and_readback(quantize(input, config), config, factory,
-                         exact_fault_injector(9), gen_b);
-  for (std::size_t w = 0; w < values.data().size(); ++w) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(values.data()[w]),
-              std::bit_cast<std::uint64_t>(sparse.values.data()[w]));
-  }
-}
-
 }  // namespace
 }  // namespace urmem
