@@ -12,7 +12,8 @@
 // Usage
 // -----
 //  * Declare lock members as ts_mutex / ts_shared_mutex (annotated
-//    capability types; plain std wrappers off-Clang).
+//    capability types: ts_mutex wraps std::mutex, ts_shared_mutex is a
+//    reader-sharded lock; the annotations vanish off-Clang).
 //  * Tag protected members with URMEM_GUARDED_BY(lock_) (or
 //    URMEM_PT_GUARDED_BY for pointees) and lock-discipline functions
 //    with URMEM_REQUIRES / URMEM_REQUIRES_SHARED / URMEM_EXCLUDES.
@@ -29,9 +30,15 @@
 // everywhere; only Clang checks it.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <mutex>
-#include <shared_mutex>
+#include <thread>
+
+#include "urmem/common/contracts.hpp"
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -100,21 +107,80 @@ class URMEM_CAPABILITY("mutex") ts_mutex {
   std::mutex mutex_;
 };
 
-/// std::shared_mutex with capability annotations (exclusive = writer /
-/// epoch boundary, shared = readers / traffic).
+/// Bytes per cache line: the padding unit that keeps per-thread hot
+/// state off other threads' lines.
+inline constexpr std::size_t cache_line_bytes = 64;
+
+/// Number of per-thread slots in sharded state (ts_shared_mutex reader
+/// counts, memory_service traffic counters). Threads beyond this many
+/// share slots: still correct, only no longer contention-free.
+inline constexpr std::size_t thread_slots = 16;
+
+/// This thread's slot in [0, thread_slots): assigned round-robin on a
+/// thread's first call and fixed for its lifetime, so threads started
+/// together (one client pool) land on distinct slots.
+inline std::size_t this_thread_slot() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t slot =
+      next.fetch_add(1, std::memory_order_relaxed) % thread_slots;
+  return slot;
+}
+
+/// Reader-sharded shared mutex with capability annotations (exclusive =
+/// writer / epoch boundary, shared = readers / traffic).
+///
+/// A reader increments the count of its own cache-line-padded slot,
+/// then checks the writer flag; a writer raises the flag, then waits
+/// for every slot to drain. Both sides use sequentially consistent
+/// operations, so either the writer sees the reader's count or the
+/// reader sees the flag (and backs out until the writer leaves).
+/// Readers on distinct slots therefore share no written cache line.
+/// Writers are serialized among themselves by a plain mutex. A thread
+/// must not take the shared side twice (a waiting writer would deadlock
+/// the second acquisition).
 class URMEM_CAPABILITY("shared_mutex") ts_shared_mutex {
  public:
   ts_shared_mutex() = default;
   ts_shared_mutex(const ts_shared_mutex&) = delete;
   ts_shared_mutex& operator=(const ts_shared_mutex&) = delete;
 
-  void lock() URMEM_ACQUIRE() { mutex_.lock(); }
-  void unlock() URMEM_RELEASE() { mutex_.unlock(); }
-  void lock_shared() URMEM_ACQUIRE_SHARED() { mutex_.lock_shared(); }
-  void unlock_shared() URMEM_RELEASE_SHARED() { mutex_.unlock_shared(); }
+  void lock() URMEM_ACQUIRE() {
+    writers_.lock();
+    writer_.store(true, std::memory_order_seq_cst);
+    for (const reader_slot& slot : slots_) {
+      while (slot.readers.load(std::memory_order_seq_cst) != 0) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  void unlock() URMEM_RELEASE() {
+    writer_.store(false, std::memory_order_seq_cst);
+    writer_.notify_all();
+    writers_.unlock();
+  }
+  /// Shared hold counted in `slot` (< thread_slots); release it with
+  /// the same slot.
+  void lock_shared(std::size_t slot) URMEM_ACQUIRE_SHARED() {
+    expects(slot < thread_slots, "ts_shared_mutex reader slot out of range");
+    std::atomic<std::uint64_t>& readers = slots_[slot].readers;
+    for (;;) {
+      readers.fetch_add(1, std::memory_order_seq_cst);
+      if (!writer_.load(std::memory_order_seq_cst)) return;
+      readers.fetch_sub(1, std::memory_order_release);
+      writer_.wait(true, std::memory_order_acquire);
+    }
+  }
+  void unlock_shared(std::size_t slot) URMEM_RELEASE_SHARED() {
+    slots_[slot].readers.fetch_sub(1, std::memory_order_release);
+  }
 
  private:
-  std::shared_mutex mutex_;
+  struct alignas(cache_line_bytes) reader_slot {
+    std::atomic<std::uint64_t> readers{0};
+  };
+  std::array<reader_slot, thread_slots> slots_;
+  alignas(cache_line_bytes) std::atomic<bool> writer_{false};
+  std::mutex writers_;
 };
 
 /// Scoped exclusive hold of a ts_mutex (std::scoped_lock equivalent).
@@ -149,20 +215,24 @@ class URMEM_SCOPED_CAPABILITY ts_unique_lock {
 };
 
 /// Scoped shared hold of a ts_shared_mutex (the traffic / concurrent
-/// scrub mode of the serving gate). The destructor's generic RELEASE
-/// covers the shared hold.
+/// scrub mode of the serving gate), counted in `slot` — by default this
+/// thread's; a hot path that already looked it up passes it in. The
+/// destructor's generic RELEASE covers the shared hold.
 class URMEM_SCOPED_CAPABILITY ts_shared_lock {
  public:
-  explicit ts_shared_lock(ts_shared_mutex& mutex) URMEM_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.lock_shared();
+  explicit ts_shared_lock(ts_shared_mutex& mutex,
+                          std::size_t slot = this_thread_slot())
+      URMEM_ACQUIRE_SHARED(mutex)
+      : mutex_(mutex), slot_(slot) {
+    mutex_.lock_shared(slot_);
   }
-  ~ts_shared_lock() URMEM_RELEASE() { mutex_.unlock_shared(); }
+  ~ts_shared_lock() URMEM_RELEASE() { mutex_.unlock_shared(slot_); }
   ts_shared_lock(const ts_shared_lock&) = delete;
   ts_shared_lock& operator=(const ts_shared_lock&) = delete;
 
  private:
   ts_shared_mutex& mutex_;
+  std::size_t slot_;
 };
 
 /// Condition variable for ts_mutex. wait() atomically releases the

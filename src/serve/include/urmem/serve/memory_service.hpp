@@ -14,13 +14,17 @@
 // is bit-identical at any client count, while stores, readbacks,
 // quality queries and the background scrub genuinely overlap:
 //
-//  * An epoch gate (shared_mutex) orders traffic against maintenance.
-//    Requests and scrub passes hold it shared; step_epoch's mutation
-//    window — apply deferred retirements/degradation, age the timeline,
-//    install the new fault map — holds it exclusive. The logical->
-//    physical mapping and the fault map are therefore constant within
-//    an epoch, and any request's outcome is a pure function of
-//    (row, epoch).
+//  * An epoch gate (ts_shared_mutex, a reader-sharded lock) orders
+//    traffic against maintenance. Requests and scrub passes hold it
+//    shared, each counted in its thread's own cache-line slot;
+//    step_epoch's mutation window — apply deferred retirements/
+//    degradation, age the timeline, install the new fault map — holds
+//    it exclusive. The logical->physical mapping and the fault map are
+//    therefore constant within an epoch, and any request's outcome is a
+//    pure function of (row, epoch). So is a quality query's residual
+//    row count: each tile counts it once per epoch, on the epoch's
+//    first query, and every later query of the epoch adds the cached
+//    value.
 //
 //  * Stores always write the service's canonical word for the row (the
 //    authoritative copy a real serving tier refreshes from), and the
@@ -33,10 +37,14 @@
 //    rejected at construction: they latch write history and would make
 //    outcomes interleaving-dependent.
 //
-//  * Per-row stripe locks serialize touching the *same* row from two
-//    threads (a data race even when idempotent); distinct rows only
-//    share the relaxed atomic outcome counters, which are commutative
-//    integer sums.
+//  * Per-row stripe locks (one per cache line) serialize touching the
+//    *same* row from two threads (a data race even when idempotent).
+//    The outcome counters are sharded by the same thread slot as the
+//    gate, one cache line per slot per tile, and summed at snapshot
+//    time; they are commutative integer sums, so the totals do not
+//    depend on which slot counted what. A request therefore writes the
+//    gate and counter lines of its own slot, its row's stripe and the
+//    row's words, and no line every client writes.
 //
 // Retirement is deliberately deferred maintenance: a scrub pass runs
 // concurrently with traffic and records findings, but spares are spent
@@ -46,6 +54,7 @@
 // mid-request.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -122,7 +131,9 @@ class memory_service {
     return epoch_steps_.load(std::memory_order_acquire);
   }
 
-  /// Request ops (thread-safe, shared on the epoch gate).
+  /// Request ops (thread-safe, shared on the epoch gate). Each looks up
+  /// its thread's slot once and counts in that slot's gate and counter
+  /// lines.
   void store(std::uint32_t row) URMEM_EXCLUDES(gate_);
   void readback(std::uint32_t row) URMEM_EXCLUDES(gate_);
   void quality_query() URMEM_EXCLUDES(gate_);
@@ -161,10 +172,10 @@ class memory_service {
   // its release — opted out, with the pairing enforced by the scrubber's
   // RAII row guard and the TSan lane.
   void lock_row(std::uint32_t row) URMEM_NO_THREAD_SAFETY_ANALYSIS {
-    stripes_[row & stripe_mask_].lock();
+    stripes_[row & stripe_mask_].mutex.lock();
   }
   void unlock_row(std::uint32_t row) URMEM_NO_THREAD_SAFETY_ANALYSIS {
-    stripes_[row & stripe_mask_].unlock();
+    stripes_[row & stripe_mask_].mutex.unlock();
   }
 
   /// Boundary maintenance: spend each live tile's deferred findings and
@@ -183,8 +194,13 @@ class memory_service {
   std::vector<std::unique_ptr<tile>> tiles_;
 
   ts_shared_mutex gate_;  ///< shared = traffic/scrub, exclusive = boundary
+  /// One row-stripe lock per cache line, so two clients locking
+  /// different stripes write different lines.
+  struct alignas(cache_line_bytes) stripe {
+    ts_mutex mutex;
+  };
   static constexpr std::uint32_t stripe_mask_ = 63;
-  std::vector<ts_mutex> stripes_{stripe_mask_ + 1};
+  std::array<stripe, stripe_mask_ + 1> stripes_;
 
   std::atomic<std::uint64_t> epoch_steps_{0};
   std::atomic<std::uint64_t> snapshots_{0};

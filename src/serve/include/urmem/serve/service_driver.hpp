@@ -11,13 +11,15 @@
 //
 // Epoch pacing: request i belongs to lifecycle epoch
 // i / requests_per_epoch. A client about to issue request i first waits
-// until the admin thread has stepped the service to epoch(i); the admin
-// thread steps boundary e as soon as all e*requests_per_epoch earlier
-// requests completed. Clients in the same epoch run fully concurrently —
-// the barrier is per-epoch, not per-request. Latency is measured around
-// the service call only (gate and stripe contention included, pacing
-// waits excluded: the barrier is a determinism artifact, not service
-// time).
+// until the admin loop has stepped the service to epoch(i); the admin
+// loop, which runs on drive()'s calling thread, steps boundary e as
+// soon as all e*requests_per_epoch earlier requests completed. Clients
+// in the same epoch run fully concurrently — the barrier is per-epoch,
+// not per-request, and a client whose epoch is already published reads
+// it from an atomic copy without taking the pacing mutex. Latency is
+// measured around the service call only (gate and stripe contention
+// included, pacing waits excluded: the barrier is a determinism
+// artifact, not service time).
 #pragma once
 
 #include <cstdint>
@@ -60,8 +62,10 @@ struct drive_report {
 };
 
 /// Runs the closed loop to completion (budget or deadline), drains the
-/// service, and snapshots it. Spawns config.clients worker threads plus
-/// one epoch-stepping admin thread when requests_per_epoch > 0.
+/// service, and snapshots it. Spawns config.clients worker threads and
+/// steps the epochs (when requests_per_epoch > 0) on the calling
+/// thread, so boundary maintenance allocates from the caller's malloc
+/// arena.
 [[nodiscard]] drive_report drive(memory_service& service,
                                  const driver_config& config);
 

@@ -1,5 +1,6 @@
 #include "urmem/serve/memory_service.hpp"
 
+#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -36,9 +37,8 @@ std::vector<memory_region> tile_regions(const scenario_spec& spec,
 }  // namespace
 
 /// One hot tile: the protected memory, its lifecycle manager, the
-/// deferred scrub findings of the in-flight epoch, and the relaxed
-/// atomic traffic counters (commutative sums, so any interleaving of
-/// fetch_adds totals the same).
+/// deferred scrub findings of the in-flight epoch, the cached residual
+/// count, and the traffic counters sharded by client slot.
 ///
 /// `memory`, `manager` and `alive` follow the service's gate
 /// discipline — mutated only inside the exclusive boundary window
@@ -59,15 +59,33 @@ struct memory_service::tile {
   std::vector<scrub_finding> findings URMEM_GUARDED_BY(findings_mutex);
   scrub_hooks hooks;
   bool alive = true;  ///< false after fail-stop: no more aging or scrubbing
+  /// memory.residual_rows() for the current epoch, or `uncounted`:
+  /// filled by the epoch's first quality query, reset at the end of
+  /// every boundary. Between boundaries the fault map and the remaps are
+  /// frozen (the concurrent scrub pass only reads and rewrites words, and
+  /// residual_fault_bits reads no data), so every query of the epoch —
+  /// including several racing to fill the cache — sees the same exact
+  /// count. Counting lazily keeps the walk off the boundary, which
+  /// traffic waits for, when no quality query comes.
+  static constexpr std::uint64_t uncounted = ~std::uint64_t{0};
+  std::atomic<std::uint64_t> residual_rows{uncounted};
 
-  std::atomic<std::uint64_t> stores{0};
-  std::atomic<std::uint64_t> readbacks{0};
-  std::atomic<std::uint64_t> clean_reads{0};
-  std::atomic<std::uint64_t> corrected_reads{0};
-  std::atomic<std::uint64_t> uncorrectable_reads{0};
-  std::atomic<std::uint64_t> word_errors{0};
-  std::atomic<std::uint64_t> quality_queries{0};
-  std::atomic<std::uint64_t> degraded_rows_seen{0};
+  /// One client slot's traffic counters, exactly one cache line, so
+  /// clients on distinct slots never write a common line. Relaxed
+  /// atomics: threads beyond thread_slots share a slot, and the totals
+  /// are commutative integer sums either way.
+  struct alignas(cache_line_bytes) traffic_shard {
+    std::atomic<std::uint64_t> stores{0};
+    std::atomic<std::uint64_t> readbacks{0};
+    std::atomic<std::uint64_t> clean_reads{0};
+    std::atomic<std::uint64_t> corrected_reads{0};
+    std::atomic<std::uint64_t> uncorrectable_reads{0};
+    std::atomic<std::uint64_t> word_errors{0};
+    std::atomic<std::uint64_t> quality_queries{0};
+    std::atomic<std::uint64_t> degraded_rows_seen{0};
+  };
+  static_assert(sizeof(traffic_shard) == cache_line_bytes);
+  std::array<traffic_shard, thread_slots> shards;
 
   tile(std::string name_, std::uint32_t rows,
        std::unique_ptr<protection_scheme> scheme,
@@ -75,16 +93,29 @@ struct memory_service::tile {
       : name(std::move(name_)),
         memory(rows, std::move(scheme), std::move(regions)) {}
 
+  /// The epoch's residual row count (shared gate held).
+  [[nodiscard]] std::uint64_t residual() {
+    std::uint64_t count = residual_rows.load(std::memory_order_relaxed);
+    if (count == uncounted) {
+      count = memory.residual_rows();
+      residual_rows.store(count, std::memory_order_relaxed);
+    }
+    return count;
+  }
+
   [[nodiscard]] tile_traffic_counters traffic() const {
+    constexpr auto relaxed = std::memory_order_relaxed;
     tile_traffic_counters t;
-    t.stores = stores.load(std::memory_order_relaxed);
-    t.readbacks = readbacks.load(std::memory_order_relaxed);
-    t.clean_reads = clean_reads.load(std::memory_order_relaxed);
-    t.corrected_reads = corrected_reads.load(std::memory_order_relaxed);
-    t.uncorrectable_reads = uncorrectable_reads.load(std::memory_order_relaxed);
-    t.word_errors = word_errors.load(std::memory_order_relaxed);
-    t.quality_queries = quality_queries.load(std::memory_order_relaxed);
-    t.degraded_rows_seen = degraded_rows_seen.load(std::memory_order_relaxed);
+    for (const traffic_shard& shard : shards) {
+      t.stores += shard.stores.load(relaxed);
+      t.readbacks += shard.readbacks.load(relaxed);
+      t.clean_reads += shard.clean_reads.load(relaxed);
+      t.corrected_reads += shard.corrected_reads.load(relaxed);
+      t.uncorrectable_reads += shard.uncorrectable_reads.load(relaxed);
+      t.word_errors += shard.word_errors.load(relaxed);
+      t.quality_queries += shard.quality_queries.load(relaxed);
+      t.degraded_rows_seen += shard.degraded_rows_seen.load(relaxed);
+    }
     return t;
   }
 };
@@ -153,44 +184,53 @@ memory_service::memory_service(const scenario_spec& spec) {
 
 memory_service::~memory_service() = default;
 
+// Each request looks up its client slot once and hands it to the gate
+// and the counter shards, so it writes only lines that slot owns (plus
+// the row's stripe and the tile words themselves).
+
 void memory_service::store(std::uint32_t row) {
-  ts_shared_lock gate(gate_);
-  ts_lock_guard stripe(stripes_[row & stripe_mask_]);
+  const std::size_t slot = this_thread_slot();
+  ts_shared_lock gate(gate_, slot);
+  ts_lock_guard stripe(stripes_[row & stripe_mask_].mutex);
   for (const auto& entry : tiles_) {
     entry->memory.write(row, words_[row]);
-    entry->stores.fetch_add(1, std::memory_order_relaxed);
+    entry->shards[slot].stores.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void memory_service::readback(std::uint32_t row) {
-  ts_shared_lock gate(gate_);
-  ts_lock_guard stripe(stripes_[row & stripe_mask_]);
+  const std::size_t slot = this_thread_slot();
+  ts_shared_lock gate(gate_, slot);
+  ts_lock_guard stripe(stripes_[row & stripe_mask_].mutex);
   for (const auto& entry : tiles_) {
     const read_result result = entry->memory.read(row);
-    entry->readbacks.fetch_add(1, std::memory_order_relaxed);
+    tile::traffic_shard& shard = entry->shards[slot];
+    shard.readbacks.fetch_add(1, std::memory_order_relaxed);
     switch (result.status) {
       case ecc_status::clean:
-        entry->clean_reads.fetch_add(1, std::memory_order_relaxed);
+        shard.clean_reads.fetch_add(1, std::memory_order_relaxed);
         break;
       case ecc_status::corrected:
-        entry->corrected_reads.fetch_add(1, std::memory_order_relaxed);
+        shard.corrected_reads.fetch_add(1, std::memory_order_relaxed);
         break;
       case ecc_status::detected_uncorrectable:
-        entry->uncorrectable_reads.fetch_add(1, std::memory_order_relaxed);
+        shard.uncorrectable_reads.fetch_add(1, std::memory_order_relaxed);
         break;
     }
     if (result.data != words_[row]) {
-      entry->word_errors.fetch_add(1, std::memory_order_relaxed);
+      shard.word_errors.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
 void memory_service::quality_query() {
-  ts_shared_lock gate(gate_);
+  const std::size_t slot = this_thread_slot();
+  ts_shared_lock gate(gate_, slot);
   for (const auto& entry : tiles_) {
-    entry->quality_queries.fetch_add(1, std::memory_order_relaxed);
-    entry->degraded_rows_seen.fetch_add(entry->memory.residual_rows(),
-                                        std::memory_order_relaxed);
+    tile::traffic_shard& shard = entry->shards[slot];
+    shard.quality_queries.fetch_add(1, std::memory_order_relaxed);
+    shard.degraded_rows_seen.fetch_add(entry->residual(),
+                                       std::memory_order_relaxed);
   }
 }
 
@@ -207,6 +247,9 @@ void memory_service::apply_boundary(bool advance) {
     if (advance && entry->alive && !entry->manager->advance_epoch()) {
       entry->alive = false;
     }
+    // Reset even after a fail-stop: findings applied before it may
+    // already have remapped rows.
+    entry->residual_rows.store(tile::uncounted, std::memory_order_relaxed);
   }
 }
 

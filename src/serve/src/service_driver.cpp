@@ -14,15 +14,29 @@ namespace urmem {
 namespace {
 
 /// Shared pacing state: completed-request count (atomic, bumped outside
-/// any lock) and the admin thread's published epoch. The cv is only
-/// signalled at epoch-boundary crossings, so the hot path is one
-/// fetch_add per request.
+/// any lock) and the admin loop's published epoch. The cv is only
+/// signalled at epoch-boundary crossings, and clients take the mutex
+/// only when they must wait, so the hot path is one fetch_add and two
+/// loads of lines written once per epoch.
 struct pacing {
   ts_mutex mutex;
   ts_condition_variable cv;
-  std::atomic<std::uint64_t> completed{0};
   std::uint64_t epoch_done URMEM_GUARDED_BY(mutex) = 0;
   bool stop URMEM_GUARDED_BY(mutex) = false;  ///< deadline reached
+  /// Lock-free copies of epoch_done and stop, stored under `mutex`
+  /// together with the originals. A client that finds them current
+  /// skips the lock; one that does not re-checks the originals under
+  /// the lock, so no wake-up is lost.
+  alignas(cache_line_bytes) std::atomic<std::uint64_t> epoch_ready{0};
+  std::atomic<bool> stopped{false};
+  /// On its own line: every request writes it.
+  alignas(cache_line_bytes) std::atomic<std::uint64_t> completed{0};
+};
+
+/// A client's latency histogram, padded so that recording a sample
+/// writes no line another client writes.
+struct alignas(cache_line_bytes) client_latency {
+  latency_histogram histogram;
 };
 
 }  // namespace
@@ -54,23 +68,21 @@ drive_report drive(memory_service& service, const driver_config& config) {
                   std::chrono::duration<double>(
                       timed ? config.duration_seconds : 0.0));
 
-  std::vector<latency_histogram> histograms(clients);
+  std::vector<client_latency> latencies(clients);
 
   auto client_loop = [&](std::uint32_t client) {
-    latency_histogram& histogram = histograms[client];
+    latency_histogram& histogram = latencies[client].histogram;
     for (std::uint64_t index = client; index < total; index += clients) {
-      if (per_epoch > 0) {
+      if (pace.stopped.load(std::memory_order_acquire)) return;
+      const std::uint64_t target = per_epoch > 0 ? index / per_epoch : 0;
+      if (pace.epoch_ready.load(std::memory_order_acquire) < target) {
         // Wait for the service to reach this request's epoch. Manual
         // predicate loop so the guarded reads sit in this function,
         // where the analysis can see the held capability.
-        const std::uint64_t target = index / per_epoch;
         ts_lock_guard lock(pace.mutex);
         while (!pace.stop && pace.epoch_done < target) {
           pace.cv.wait(pace.mutex);
         }
-        if (pace.stop) return;
-      } else if (timed) {
-        ts_lock_guard lock(pace.mutex);
         if (pace.stop) return;
       }
 
@@ -99,7 +111,10 @@ drive_report drive(memory_service& service, const driver_config& config) {
           (per_epoch > 0 && done % per_epoch == 0)) {
         {
           ts_lock_guard lock(pace.mutex);
-          if (deadline_hit) pace.stop = true;
+          if (deadline_hit) {
+            pace.stop = true;
+            pace.stopped.store(true, std::memory_order_release);
+          }
         }
         pace.cv.notify_all();
       }
@@ -126,25 +141,44 @@ drive_report drive(memory_service& service, const driver_config& config) {
       {
         ts_lock_guard lock(pace.mutex);
         pace.epoch_done = epoch;
+        pace.epoch_ready.store(epoch, std::memory_order_release);
       }
       pace.cv.notify_all();
     }
   };
 
   std::vector<std::thread> workers;
-  workers.reserve(clients + 1);
-  if (per_epoch > 0) workers.emplace_back(admin_loop);
+  workers.reserve(clients);
   for (std::uint32_t client = 0; client < clients; ++client) {
     workers.emplace_back(client_loop, client);
   }
-  for (std::thread& worker : workers) worker.join();
+  const auto join_all = [&] {
+    for (std::thread& worker : workers) worker.join();
+  };
+  // The admin loop runs here, on the calling thread, so the boundary
+  // maintenance allocates from the caller's malloc arena rather than a
+  // fresh thread's. If a boundary throws, release the clients before
+  // joining them.
+  try {
+    admin_loop();
+  } catch (...) {
+    {
+      ts_lock_guard lock(pace.mutex);
+      pace.stop = true;
+      pace.stopped.store(true, std::memory_order_release);
+    }
+    pace.cv.notify_all();
+    join_all();
+    throw;
+  }
+  join_all();
 
   service.drain();
 
   drive_report report;
   report.counters = service.stats_snapshot();
-  for (const latency_histogram& histogram : histograms) {
-    report.latency.merge(histogram);
+  for (const client_latency& client : latencies) {
+    report.latency.merge(client.histogram);
   }
   report.executed = pace.completed.load(std::memory_order_acquire);
   const auto end = std::chrono::steady_clock::now();
