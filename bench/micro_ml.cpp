@@ -6,7 +6,9 @@
 // Timed:
 //   * evaluate() of each Table 1 application on its clean features;
 //   * the PCA pieces: covariance of the 400 x 60 madelon-like training
-//     features and jacobi_eigen of that 60 x 60 covariance;
+//     features, jacobi_eigen of that 60 x 60 covariance, and eight of
+//     them through the lane-batched jacobi_top_vectors (top 5 vectors,
+//     as the Fig. 7 PCA fits them), reported per matrix;
 //   * kNN (k = 5) score of the 300-row HAR-like holdout against the
 //     1200 training rows, reported per query.
 // Emits BENCH_micro_ml.json (see README "Bench telemetry").
@@ -71,6 +73,14 @@ int main(int argc, char** argv) {
     results.push_back(bench::run_micro(
         "jacobi_eigen " + shape(cov), 1,
         [&] { bench::keep(bits_of(jacobi_eigen(cov).values[0])); }, min_ms));
+    results.push_back(bench::run_micro(
+        "8 x jacobi " + shape(cov) + " (lanes)", 8,
+        [&] {
+          const std::vector<matrix> top = jacobi_top_vectors(
+              8, 5, [&](std::size_t) { return cov; });
+          bench::keep(bits_of(top[7](0, 0)));
+        },
+        min_ms));
   }
 
   {

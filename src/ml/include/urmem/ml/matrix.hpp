@@ -64,11 +64,12 @@ class matrix {
 /// Subtracts `means[c]` from every element of column c (in place).
 void center_columns(matrix& a, std::span<const double> means);
 
-/// Sample covariance (n-1 denominator) of the columns of `a`;
-/// `a` is centered internally, the input is not modified. Each entry
-/// sums its row terms in ascending row order (four rows per pass over
-/// the upper triangle), skipping rows whose multiplier is zero, then
-/// divides once and mirrors into the lower triangle.
+/// Sample covariance (n-1 denominator) of the columns of `a`; rows are
+/// centered four at a time into a small buffer, so neither the input
+/// is modified nor a centered copy of it made. Each entry sums its row
+/// terms in ascending row order (four rows per pass over the upper
+/// triangle), skipping rows whose multiplier is zero, then divides once
+/// and mirrors into the lower triangle.
 [[nodiscard]] matrix covariance(const matrix& a);
 
 /// Squared Frobenius norm.

@@ -55,36 +55,43 @@ void center_columns(matrix& a, std::span<const double> means) {
 
 matrix covariance(const matrix& a) {
   expects(a.rows() >= 2, "covariance needs at least two rows");
-  matrix centered = a;
-  center_columns(centered, column_means(a));
-  const std::size_t n = centered.rows();
+  const std::vector<double> means = column_means(a);
+  const std::size_t n = a.rows();
   const std::size_t cols = a.cols();
   matrix cov(cols, cols, 0.0);
+  // Rows are centered four at a time into `block`, the same subtraction
+  // center_columns makes, so no centered copy of `a` is held.
+  std::vector<double> block(4 * cols);
+  const auto center = [&](std::size_t r, std::size_t slot) {
+    const auto in = a.row(r);
+    const std::span<double> out(block.data() + slot * cols, cols);
+    for (std::size_t c = 0; c < cols; ++c) out[c] = in[c] - means[c];
+    return std::span<const double>(out);
+  };
   // Upper triangle, row terms added in ascending row order; a row whose
-  // multiplier centered(i, p) is zero adds nothing. Four rows per pass
-  // when none of their multipliers is zero, so each cov(p, q) is loaded
-  // and stored once per four terms; storing between terms would round
-  // identically, so the two paths agree bit for bit.
-  const auto add_row = [&](std::size_t r, std::size_t p) {
-    const double v = centered(r, p);
+  // multiplier row[p] is zero adds nothing. Four rows per pass when none
+  // of their multipliers is zero, so each cov(p, q) is loaded and stored
+  // once per four terms; storing between terms would round identically,
+  // so the two paths agree bit for bit.
+  const auto add_row = [&](std::span<const double> row, std::size_t p) {
+    const double v = row[p];
     if (v == 0.0) return;
-    const auto row = centered.row(r);
     const auto out = cov.row(p);
     for (std::size_t q = p; q < cols; ++q) out[q] += v * row[q];
   };
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const auto r0 = centered.row(i);
-    const auto r1 = centered.row(i + 1);
-    const auto r2 = centered.row(i + 2);
-    const auto r3 = centered.row(i + 3);
+    const auto r0 = center(i, 0);
+    const auto r1 = center(i + 1, 1);
+    const auto r2 = center(i + 2, 2);
+    const auto r3 = center(i + 3, 3);
     for (std::size_t p = 0; p < cols; ++p) {
       const double v0 = r0[p];
       const double v1 = r1[p];
       const double v2 = r2[p];
       const double v3 = r3[p];
       if (v0 == 0.0 || v1 == 0.0 || v2 == 0.0 || v3 == 0.0) {
-        for (std::size_t r = i; r < i + 4; ++r) add_row(r, p);
+        for (const auto& row : {r0, r1, r2, r3}) add_row(row, p);
         continue;
       }
       const auto out = cov.row(p);
@@ -94,7 +101,8 @@ matrix covariance(const matrix& a) {
     }
   }
   for (; i < n; ++i) {
-    for (std::size_t p = 0; p < cols; ++p) add_row(i, p);
+    const auto row = center(i, 0);
+    for (std::size_t p = 0; p < cols; ++p) add_row(row, p);
   }
   const double denom = static_cast<double>(n - 1);
   for (std::size_t p = 0; p < cols; ++p) {

@@ -12,12 +12,16 @@
 // targets/labels are control data held in reliable storage (the paper
 // does not state otherwise, and data memories hold bulk numeric data).
 //
-// A fault-injection trial changes few training rows (the sparse
-// store_and_readback reports which), so make_delta_evaluator lets an
-// application build state once from the clean readback and score each
-// trial from its changed rows. Only KNN uses it: it re-ranks each test
-// query against the changed rows and a bounded prefix of the query's
-// clean neighbor order. Elasticnet and PCA retrain in full.
+// A Fig. 7 campaign scores trials in groups of consecutive trials, and
+// make_group_evaluator lets an application build state once from the
+// clean readback and choose how to score a group. Each takes its own
+// route, and every route returns exactly evaluate()'s value:
+//   * KNN scores each trial from its changed rows (the sparse
+//     store_and_readback reports which), re-ranking each test query
+//     against them and a bounded prefix of its clean neighbor order;
+//   * PCA retrains the group at once: the covariances go into the
+//     lanes of one batched Jacobi solve (jacobi_top_vectors);
+//   * Elasticnet retrains each trial in full.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "urmem/ml/matrix.hpp"
+#include "urmem/sim/memory_pipeline.hpp"
 
 namespace urmem {
 
@@ -53,17 +58,21 @@ class application {
   /// and returns the quality metric measured on the clean test set.
   [[nodiscard]] virtual double evaluate(const matrix& stored_train_features) const = 0;
 
-  /// Scores a readback that differs from the clean readback only in
-  /// `changed_rows` (ascending training-row indices).
-  using delta_evaluator = std::function<double(
-      const matrix& stored, std::span<const std::size_t> changed_rows)>;
+  /// Produces the readback of trial k of a group, drawing its faults
+  /// from that trial's own engine.
+  using readback_source = std::function<readback(std::size_t k)>;
 
-  /// Builds, once from the fault-free readback `clean_stored`, an
-  /// evaluator that returns exactly evaluate(stored) and may be called
-  /// from many threads at once; it refers to this application, which
-  /// must outlive it. Default: ignores the changed rows and calls
-  /// evaluate.
-  [[nodiscard]] virtual delta_evaluator make_delta_evaluator(
+  /// Scores one group of trials: metrics[k] = evaluate(produce(k).values)
+  /// for every k < metrics.size(), bit for bit. Calls produce(k) once per
+  /// trial, in order, and drops each readback before producing the next.
+  using group_evaluator = std::function<void(const readback_source& produce,
+                                             std::span<double> metrics)>;
+
+  /// Builds, once from the fault-free readback `clean_stored`, a group
+  /// evaluator that may be called from many threads at once; it refers
+  /// to this application, which must outlive it. Default: evaluate()
+  /// per trial.
+  [[nodiscard]] virtual group_evaluator make_group_evaluator(
       const matrix& clean_stored) const;
 };
 

@@ -10,7 +10,11 @@
 //  * Determinism — trial i always runs on make_stream_rng(seed, i), an
 //    engine derived from the root seed by stream splitting, never on a
 //    generator shared between trials. Which worker executes the trial
-//    (and in what order) therefore cannot change its draws.
+//    (and in what order) therefore cannot change its draws. This file
+//    is the one place that rule is stated and enforced: run_groups()
+//    hands a body a run of consecutive trials together with their
+//    engines, so a body that batches trials (Fig. 7's lane-batched PCA)
+//    still draws each trial from its own stream.
 //  * Deterministic reduction — per-trial outputs land in a slot indexed
 //    by trial number and are merged in trial order after the pool
 //    drains, so floating-point accumulation order is fixed.
@@ -22,13 +26,14 @@
 //
 // Trial bodies must be thread-safe: they may read shared immutable
 // state (the application, the scheme factory) but must confine writes
-// to their own trial's slot — exactly what run()/map()/run_weighted()
+// to their own trials' slots — exactly what run()/map()/run_weighted()
 // provide.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -40,7 +45,7 @@ namespace urmem {
 /// Parameters of a campaign runner.
 struct campaign_config {
   unsigned threads = 0;          ///< worker count; 0 = all hardware threads
-  std::uint64_t batch_size = 0;  ///< trials claimed per scheduling step; 0 = auto
+  std::uint64_t batch_size = 0;  ///< trials or groups per claim; 0 = auto
   std::uint64_t seed = 0;        ///< root seed; trial i sees make_stream_rng(seed, i)
 };
 
@@ -71,6 +76,10 @@ class campaign_runner {
   /// worker a trial lands on is schedule-dependent; results must not be.
   using worker_trial_body =
       std::function<void(std::uint64_t trial, rng& gen, unsigned worker)>;
+  /// Runs trials first .. first + gens.size() - 1, trial first + k on
+  /// gens[k], its own make_stream_rng engine.
+  using group_body =
+      std::function<void(std::uint64_t first, std::span<rng> gens)>;
   /// Runs one trial and appends its (value, weight) samples to `out`.
   using sampling_body = std::function<void(
       std::uint64_t trial, rng& gen, std::vector<weighted_sample>& out)>;
@@ -92,6 +101,13 @@ class campaign_runner {
 
   /// run() variant handing the body the executing worker's index.
   void run(std::uint64_t trials, const worker_trial_body& body);
+
+  /// Executes `trials` trials in groups of `group` consecutive trials
+  /// (the last group may be shorter), one body call per group: the hook
+  /// for kernels that solve several trials at once. The group is the
+  /// scheduling unit; last_stats().trials still counts trials.
+  void run_groups(std::uint64_t trials, std::uint64_t group,
+                  const group_body& body);
 
   /// run() variant collecting one result per trial, in trial order.
   template <typename T>
@@ -123,13 +139,20 @@ class campaign_runner {
   [[nodiscard]] empirical_cdf run_weighted(std::uint64_t trials,
                                            const sampling_body& body);
 
-  /// Scheduling counters of the most recent run()/map()/run_weighted().
+  /// Scheduling counters of the most recent campaign.
   [[nodiscard]] const campaign_stats& last_stats() const noexcept {
     return last_stats_;
   }
 
  private:
   struct pool;
+
+  /// What every entry point runs: groups of `group` consecutive trials
+  /// with their engines, on the executing worker.
+  using worker_group_body = std::function<void(
+      std::uint64_t first, std::span<rng> gens, unsigned worker)>;
+  void run_units(std::uint64_t trials, std::uint64_t group,
+                 const worker_group_body& body);
 
   campaign_config config_;
   unsigned thread_count_ = 1;

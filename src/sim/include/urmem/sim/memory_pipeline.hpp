@@ -18,7 +18,7 @@
 // nor uncorrectable. The readback is the clean values with the changed
 // words patched in, bit-identical to dequantizing a whole-tile pass,
 // and it lists the matrix rows that changed so an application can
-// re-score only those (application::make_delta_evaluator).
+// re-score only those (application::make_group_evaluator).
 #pragma once
 
 #include <cstdint>

@@ -12,10 +12,12 @@
 
 namespace urmem {
 
-application::delta_evaluator application::make_delta_evaluator(
+application::group_evaluator application::make_group_evaluator(
     const matrix& /*clean_stored*/) const {
-  return [this](const matrix& stored, std::span<const std::size_t>) {
-    return evaluate(stored);
+  return [this](const readback_source& produce, std::span<double> metrics) {
+    for (std::size_t k = 0; k < metrics.size(); ++k) {
+      metrics[k] = evaluate(produce(k).values);
+    }
   };
 }
 
@@ -81,7 +83,8 @@ class elasticnet_app final : public application {
 class pca_app final : public application {
  public:
   explicit pca_app(std::uint64_t seed)
-      : data_(prepare(make_madelon_like({.seed = seed ^ 0x6d61646cULL}), seed)) {}
+      : data_(prepare(make_madelon_like({.seed = seed ^ 0x6d61646cULL}), seed)),
+        holdout_(data_.test_x) {}
 
   [[nodiscard]] std::string name() const override { return "PCA"; }
   [[nodiscard]] std::string dataset_name() const override { return "madelon-like"; }
@@ -91,16 +94,38 @@ class pca_app final : public application {
   [[nodiscard]] const matrix& train_features() const override { return data_.train_x; }
 
   [[nodiscard]] double evaluate(const matrix& stored) const override {
-    expects(stored.rows() == data_.train_x.rows() &&
-                stored.cols() == data_.train_x.cols(),
-            "stored training features have the wrong shape");
-    pca model(5);
+    check_shape(stored);
+    pca model(n_components);
     model.fit(stored);
-    return model.score(data_.test_x);
+    return holdout_.score(model.components());
+  }
+
+  [[nodiscard]] group_evaluator make_group_evaluator(
+      const matrix& /*clean_stored*/) const override {
+    return [this](const readback_source& produce, std::span<double> metrics) {
+      const std::vector<matrix> bases = jacobi_top_vectors(
+          metrics.size(), n_components, [&](std::size_t k) {
+            const readback stored = produce(k);
+            check_shape(stored.values);
+            return covariance(stored.values);
+          });
+      for (std::size_t k = 0; k < metrics.size(); ++k) {
+        metrics[k] = holdout_.score(bases[k]);
+      }
+    };
   }
 
  private:
+  static constexpr std::size_t n_components = 5;
+
+  void check_shape(const matrix& stored) const {
+    expects(stored.rows() == data_.train_x.rows() &&
+                stored.cols() == data_.train_x.cols(),
+            "stored training features have the wrong shape");
+  }
+
   prepared_data data_;
+  pca_holdout holdout_;  // the clean test set, centered once
 };
 
 class knn_app final : public application {
@@ -122,7 +147,7 @@ class knn_app final : public application {
     return model.score(data_.test_x, data_.test_labels);
   }
 
-  [[nodiscard]] delta_evaluator make_delta_evaluator(
+  [[nodiscard]] group_evaluator make_group_evaluator(
       const matrix& clean_stored) const override {
     expects(clean_stored.rows() == data_.train_x.rows() &&
                 clean_stored.cols() == data_.train_x.cols(),
@@ -135,11 +160,14 @@ class knn_app final : public application {
     clean->model.fit(clean_stored, data_.train_labels);
     clean->prefix = clean->model.nearest_prefix(data_.test_x, prefix_depth);
     return [this, clean = std::shared_ptr<const baseline>(std::move(clean))](
-               const matrix& stored, std::span<const std::size_t> changed) {
-      return accuracy_score(
-          data_.test_labels,
-          clean->model.predict_changed(data_.test_x, clean->prefix, stored,
-                                       changed));
+               const readback_source& produce, std::span<double> metrics) {
+      for (std::size_t i = 0; i < metrics.size(); ++i) {
+        const readback stored = produce(i);
+        metrics[i] = accuracy_score(
+            data_.test_labels,
+            clean->model.predict_changed(data_.test_x, clean->prefix,
+                                         stored.values, stored.changed_rows));
+      }
     };
   }
 

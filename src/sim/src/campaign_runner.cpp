@@ -25,10 +25,14 @@ struct shard {
   std::atomic<std::uint64_t> end{0};
 };
 
-/// One campaign in flight: the shards, the body, and the merged
-/// bookkeeping. Lives on run()'s stack; workers borrow it.
+/// One campaign in flight: the shards (over groups of `group`
+/// consecutive trials), the body, and the merged bookkeeping. Lives on
+/// run_units()'s stack; workers borrow it.
 struct campaign {
-  const campaign_runner::worker_trial_body* body = nullptr;
+  const std::function<void(std::uint64_t, std::span<rng>, unsigned)>* body =
+      nullptr;
+  std::uint64_t trials = 0;
+  std::uint64_t group = 1;
   std::uint64_t seed = 0;
   std::uint64_t batch = 1;
   std::unique_ptr<shard[]> shards;
@@ -115,6 +119,7 @@ bool steal(campaign& job, unsigned self) {
 void execute(campaign& job, unsigned self) {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
+  std::vector<rng> gens(job.group, rng(0));  // refilled for each group
   for (;;) {
     if (job.cancelled.load(std::memory_order_relaxed)) return;
     if (!claim(job.shards[self], job.batch, begin, end)) {
@@ -124,9 +129,13 @@ void execute(campaign& job, unsigned self) {
     }
     job.batches.fetch_add(1, std::memory_order_relaxed);
     try {
-      for (std::uint64_t trial = begin; trial < end; ++trial) {
-        rng gen = make_stream_rng(job.seed, trial);
-        (*job.body)(trial, gen, self);
+      for (std::uint64_t unit = begin; unit < end; ++unit) {
+        const std::uint64_t first = unit * job.group;
+        const std::uint64_t count = std::min(job.group, job.trials - first);
+        for (std::uint64_t k = 0; k < count; ++k) {
+          gens[k] = make_stream_rng(job.seed, first + k);
+        }
+        (*job.body)(first, std::span<rng>(gens.data(), count), self);
       }
     } catch (...) {
       job.record_error(std::current_exception());
@@ -219,26 +228,45 @@ campaign_runner::~campaign_runner() = default;
 
 void campaign_runner::run(std::uint64_t trials, const trial_body& body) {
   expects(static_cast<bool>(body), "campaign needs a trial body");
-  run(trials, worker_trial_body([&body](std::uint64_t trial, rng& gen,
-                                        unsigned) { body(trial, gen); }));
+  run_units(trials, 1, [&body](std::uint64_t trial, std::span<rng> gens,
+                               unsigned) { body(trial, gens[0]); });
 }
 
 void campaign_runner::run(std::uint64_t trials, const worker_trial_body& body) {
   expects(static_cast<bool>(body), "campaign needs a trial body");
+  run_units(trials, 1, [&body](std::uint64_t trial, std::span<rng> gens,
+                               unsigned worker) {
+    body(trial, gens[0], worker);
+  });
+}
+
+void campaign_runner::run_groups(std::uint64_t trials, std::uint64_t group,
+                                 const group_body& body) {
+  expects(static_cast<bool>(body), "campaign needs a group body");
+  expects(group >= 1, "a group holds at least one trial");
+  run_units(trials, group, [&body](std::uint64_t first, std::span<rng> gens,
+                                   unsigned) { body(first, gens); });
+}
+
+void campaign_runner::run_units(std::uint64_t trials, std::uint64_t group,
+                                const worker_group_body& body) {
   last_stats_ = campaign_stats{};
   last_stats_.threads = thread_count_;
   if (trials == 0) return;
 
+  const std::uint64_t units = (trials - 1) / group + 1;
   campaign job;
   job.body = &body;
+  job.trials = trials;
+  job.group = group;
   job.seed = config_.seed;
   job.batch = config_.batch_size != 0 ? config_.batch_size
-                                      : auto_batch(trials, thread_count_);
+                                      : auto_batch(units, thread_count_);
   job.shard_count = thread_count_;
   job.shards = std::make_unique<shard[]>(thread_count_);
   // Even contiguous pre-split; the remainder spreads over the low shards.
-  const std::uint64_t quota = trials / thread_count_;
-  const std::uint64_t extra = trials % thread_count_;
+  const std::uint64_t quota = units / thread_count_;
+  const std::uint64_t extra = units % thread_count_;
   std::uint64_t cursor = 0;
   for (unsigned i = 0; i < thread_count_; ++i) {
     job.shards[i].next = cursor;

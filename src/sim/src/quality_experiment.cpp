@@ -1,13 +1,23 @@
 #include "urmem/sim/quality_experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "urmem/common/binomial.hpp"
 #include "urmem/common/contracts.hpp"
 
 namespace urmem {
+
+namespace {
+
+/// Consecutive trials scored together by one group-evaluator call (PCA
+/// solves them in the lanes of one batched Jacobi).
+constexpr std::size_t trials_per_group = 8;
+
+}  // namespace
 
 std::uint64_t failure_count_limit(const quality_experiment_config& config) {
   // Nmax is defined over the data-array cell count of one tile (the
@@ -27,14 +37,14 @@ quality_result run_quality_experiment(const application& app,
   expects(config.pcell > 0.0 && config.pcell < 1.0, "pcell must be in (0,1)");
 
   // Fault-free baseline: the quantization round trip, which is exactly
-  // what a fault-free store reads back. Every trial starts from this
-  // image and re-scores only the rows its faults changed.
+  // what a fault-free store reads back. Every trial patches its changed
+  // rows into this image, and the group evaluator is built on it.
   const quantized_matrix clean = quantize(app.train_features(), config.storage);
   const double clean_metric = app.evaluate(clean.values);
   ensures(std::isfinite(clean_metric) && clean_metric != 0.0,
           "clean baseline metric must be finite and nonzero");
-  const application::delta_evaluator evaluate =
-      app.make_delta_evaluator(clean.values);
+  const application::group_evaluator evaluate =
+      app.make_group_evaluator(clean.values);
 
   const std::uint64_t n_max = failure_count_limit(config);
   const array_geometry geometry{config.storage.rows_per_tile,
@@ -56,19 +66,33 @@ quality_result run_quality_experiment(const application& app,
   }
   ensures(!strata.empty(), "no failure-count stratum has positive mass");
 
+  // Trials are scored in groups of consecutive trials, each drawn from
+  // its own engine, so the group size cannot change a sample; samples
+  // land in their trial's slot and merge in trial order.
   const std::uint64_t trials = strata.size() * config.samples_per_count;
-  empirical_cdf cdf = runner.map_weighted(
-      trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
-        const stratum& s = strata[trial / config.samples_per_count];
-        const fault_injector inject =
-            exact_fault_injector(s.n, config.polarity);
-        const readback stored =
-            store_and_readback(clean, config.storage, factory, inject, gen);
-        const double metric = evaluate(stored.values, stored.changed_rows);
-        const double normalized = std::clamp(
-            std::isfinite(metric) ? metric / clean_metric : 0.0, 0.0, 1.0);
-        return {normalized, s.weight_each};
+  std::vector<double> values(trials);
+  std::vector<double> weights(trials);
+  runner.run_groups(
+      trials, trials_per_group,
+      [&](std::uint64_t first, std::span<rng> gens) {
+        std::array<double, trials_per_group> metrics{};
+        evaluate(
+            [&](std::size_t k) {
+              const stratum& s = strata[(first + k) / config.samples_per_count];
+              return store_and_readback(
+                  clean, config.storage, factory,
+                  exact_fault_injector(s.n, config.polarity), gens[k]);
+            },
+            std::span<double>(metrics.data(), gens.size()));
+        for (std::size_t k = 0; k < gens.size(); ++k) {
+          const std::uint64_t trial = first + k;
+          const double metric = metrics[k];
+          values[trial] = std::clamp(
+              std::isfinite(metric) ? metric / clean_metric : 0.0, 0.0, 1.0);
+          weights[trial] = strata[trial / config.samples_per_count].weight_each;
+        }
       });
+  empirical_cdf cdf(std::move(values), std::move(weights));
 
   quality_result result;
   result.scheme_name = scheme_name;

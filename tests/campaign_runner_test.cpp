@@ -3,8 +3,10 @@
 // work-stealing scheduling, and error propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -61,6 +63,33 @@ TEST(CampaignRunnerTest, RunsEveryTrialExactlyOnce) {
     EXPECT_EQ(runner.last_stats().trials, 1000u);
     EXPECT_EQ(runner.last_stats().threads, threads);
     EXPECT_GE(runner.last_stats().batches, 1u);
+  }
+}
+
+// run_groups hands each body call a run of consecutive trials, each on
+// its own stream; every trial is covered once, the last group may be
+// short, and last_stats() counts trials, not groups.
+TEST(CampaignRunnerTest, GroupsCarryConsecutiveTrialsOnTheirOwnStreams) {
+  for (const unsigned threads : {1u, 3u}) {
+    for (const std::uint64_t group : {1u, 8u, 13u}) {
+      campaign_runner runner({.threads = threads, .seed = 77});
+      std::vector<std::uint64_t> draws(100);
+      std::vector<std::atomic<int>> hits(100);
+      runner.run_groups(100, group, [&](std::uint64_t first,
+                                        std::span<rng> gens) {
+        EXPECT_EQ(first % group, 0u);
+        EXPECT_EQ(gens.size(), std::min<std::uint64_t>(group, 100 - first));
+        for (std::size_t k = 0; k < gens.size(); ++k) {
+          hits[first + k].fetch_add(1, std::memory_order_relaxed);
+          draws[first + k] = gens[k]();
+        }
+      });
+      for (std::uint64_t trial = 0; trial < 100; ++trial) {
+        EXPECT_EQ(hits[trial].load(), 1) << trial;
+        EXPECT_EQ(draws[trial], make_stream_rng(77, trial)()) << trial;
+      }
+      EXPECT_EQ(runner.last_stats().trials, 100u);
+    }
   }
 }
 
@@ -163,29 +192,33 @@ TEST(CampaignRunnerTest, MseSweepBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(CampaignRunnerTest, QualityExperimentBitIdenticalAcrossThreadCounts) {
-  // The rewired Fig. 7 driver end to end (KNN, tiny scale for speed).
-  const auto app = make_knn_app();
-  quality_experiment_config config;
-  config.pcell = 2e-4;
-  config.samples_per_count = 2;
-  config.seed = 17;
+  // The rewired Fig. 7 driver end to end, tiny scale for speed: KNN's
+  // delta path and PCA's lane-batched groups.
+  for (const char* name : {"knn", "pca"}) {
+    const auto app = make_application(name, 7);
+    quality_experiment_config config;
+    config.pcell = 2e-4;
+    config.samples_per_count = 2;
+    config.seed = 17;
 
-  const auto run_at = [&](unsigned threads) {
-    config.threads = threads;
-    return run_quality_experiment(
-        *app,
-        [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 1); },
-        "nFM=1", config);
-  };
-  const quality_result reference = run_at(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const quality_result result = run_at(threads);
-    EXPECT_EQ(result.clean_metric, reference.clean_metric) << threads;
-    ASSERT_EQ(result.cdf.size(), reference.cdf.size()) << threads;
-    for (std::size_t i = 0; i < reference.cdf.size(); ++i) {
-      EXPECT_EQ(result.cdf.support()[i], reference.cdf.support()[i]) << threads;
-      EXPECT_EQ(result.cdf.cumulative()[i], reference.cdf.cumulative()[i])
-          << threads;
+    const auto run_at = [&](unsigned threads) {
+      config.threads = threads;
+      return run_quality_experiment(
+          *app,
+          [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 1); },
+          "nFM=1", config);
+    };
+    const quality_result reference = run_at(1);
+    for (const unsigned threads : {2u, 8u}) {
+      const quality_result result = run_at(threads);
+      EXPECT_EQ(result.clean_metric, reference.clean_metric) << name << threads;
+      ASSERT_EQ(result.cdf.size(), reference.cdf.size()) << name << threads;
+      for (std::size_t i = 0; i < reference.cdf.size(); ++i) {
+        EXPECT_EQ(result.cdf.support()[i], reference.cdf.support()[i])
+            << name << threads;
+        EXPECT_EQ(result.cdf.cumulative()[i], reference.cdf.cumulative()[i])
+            << name << threads;
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -576,6 +577,191 @@ TEST(MlOutputBitsTest, TableOneApplicationsAreBitPinned) {
     EXPECT_EQ(corrupted, e.corrupted)
         << e.app << " corrupted: 0x" << std::hex << corrupted;
   }
+}
+
+
+// ------------------------------------------------- lane-batched jacobi
+
+/// Every lane width this CPU runs: 1 (the jacobi_eigen loop), 2, and 4
+/// and 8 where the CPU has AVX2 and AVX-512F.
+std::vector<std::size_t> host_lane_widths() {
+  std::vector<std::size_t> widths{1};
+  for (const std::size_t w : {2, 4, 8}) {
+    if (w <= detail::jacobi_lane_width()) widths.push_back(w);
+  }
+  return widths;
+}
+
+/// Sample covariance of n random rows: dense, symmetric, positive
+/// semi-definite.
+matrix random_covariance(std::size_t p, std::uint64_t seed) {
+  rng gen(seed);
+  matrix x(3 * p, p);
+  for (double& v : x.data()) v = gen.normal();
+  return covariance(x);
+}
+
+/// First k columns of jacobi_eigen(a).vectors, the batched solver's
+/// reference.
+matrix scalar_top_vectors(const matrix& a, std::size_t k) {
+  const eigen_decomposition eig = jacobi_eigen(a);
+  matrix out(a.rows(), k);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < k; ++c) out(r, c) = eig.vectors(r, c);
+  }
+  return out;
+}
+
+/// Counts entries whose bits differ; with `nan_matches`, NaN equals any
+/// NaN (a NaN's payload depends on operand order, which the compiler
+/// may swap for commutative products).
+std::size_t bit_mismatches(const matrix& got, const matrix& want,
+                           bool nan_matches = false) {
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    const double g = got.data()[i];
+    const double w = want.data()[i];
+    if (nan_matches && std::isnan(g) && std::isnan(w)) continue;
+    if (std::bit_cast<std::uint64_t>(g) != std::bit_cast<std::uint64_t>(w)) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+// Each lane runs jacobi_eigen's operation sequence on its own matrix,
+// so at every width the CPU supports, every member of every partial
+// group matches the scalar solver bit for bit. The members differ in
+// what a lane must do on its own: skip an exact zero (i, j) entry, stop
+// at its own sweep count (at once for a diagonal, all-zero or infinite
+// matrix, after a sweep or two near-diagonal), keep -0.0 entries, or
+// sweep to the limit on a NaN, which must not leak into its neighbours.
+TEST(JacobiLanesTest, EveryWidthMatchesScalarBitForBit) {
+  const std::size_t p = 12;
+  std::vector<matrix> members;
+  members.push_back(random_covariance(p, 1));
+  {
+    matrix a = random_covariance(p, 2);  // skips (0, 1) and (2, 5) at first
+    a(0, 1) = a(1, 0) = 0.0;
+    a(2, 5) = a(5, 2) = 0.0;
+    members.push_back(a);
+  }
+  {
+    matrix a(p, p, -0.0);  // diagonal: converged before the first sweep
+    for (std::size_t i = 0; i < p; ++i) {
+      a(i, i) = i % 3 == 0 ? -0.0 : static_cast<double>(i) - 5.5;
+    }
+    members.push_back(a);
+  }
+  {
+    matrix a = random_covariance(p, 3);  // near-diagonal: a sweep or two
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        a(i, j) = i == j ? static_cast<double>(i + 1) : 1e-7 * a(i, j);
+      }
+    }
+    members.push_back(a);
+  }
+  {
+    matrix a = random_covariance(p, 4);  // -0.0 off the diagonal and on it
+    a(3, 4) = a(4, 3) = -0.0;
+    a(0, 11) = a(11, 0) = -0.0;
+    a(7, 7) = -0.0;
+    members.push_back(a);
+  }
+  members.emplace_back(p, p, 0.0);  // all zero
+  {
+    // Converged at once (0 / inf): the lanes around it keep rotating,
+    // and any arithmetic on its frozen entries (even c = 1, s = 0)
+    // would turn 0 * inf into NaN and reorder its eigenvalues.
+    matrix a(p, p, 0.0);
+    for (std::size_t i = 0; i < p; ++i) a(i, i) = static_cast<double>(i % 5);
+    a(6, 6) = std::numeric_limits<double>::infinity();
+    members.push_back(a);
+  }
+  const std::size_t nan_member = members.size();
+  {
+    matrix a = random_covariance(p, 5);
+    a(2, 3) = a(3, 2) = std::numeric_limits<double>::quiet_NaN();
+    members.push_back(a);
+  }
+  for (std::uint64_t seed = 6; members.size() < 12; ++seed) {
+    members.push_back(random_covariance(p, seed));
+  }
+
+  std::vector<matrix> reference;
+  reference.reserve(members.size());
+  for (const matrix& a : members) reference.push_back(scalar_top_vectors(a, p));
+  for (const std::size_t width : host_lane_widths()) {
+    for (std::size_t count = 1; count <= members.size(); ++count) {
+      std::size_t loads = 0;
+      const std::vector<matrix> got = detail::jacobi_top_vectors_at(
+          width, count, p,
+          [&](std::size_t m) {
+            EXPECT_EQ(m, loads);
+            ++loads;
+            return members[m];
+          },
+          1e-24, 64);
+      ASSERT_EQ(got.size(), count);
+      EXPECT_EQ(loads, count);
+      for (std::size_t m = 0; m < count; ++m) {
+        EXPECT_EQ(bit_mismatches(got[m], reference[m], m == nan_member), 0u)
+            << "width " << width << ", " << count << " members, member " << m;
+      }
+    }
+  }
+}
+
+// The Fig. 7 shape: covariances of corrupted 400 x 60 madelon-like
+// training sets, top 5 vectors, 9 members (one full 8-lane group and a
+// partial one), through the CPU's own width as well.
+TEST(JacobiLanesTest, Fig7CovariancesMatchScalarBitForBit) {
+  const auto app = make_pca_app(7);
+  std::vector<matrix> members;
+  members.reserve(9);
+  for (std::uint64_t seed = 1; seed <= 9; ++seed) {
+    members.push_back(covariance(corrupted_copy(app->train_features(), seed)));
+  }
+  const matrix_source load = [&](std::size_t m) { return members[m]; };
+  const std::vector<std::size_t> widths = host_lane_widths();
+  std::vector<std::vector<matrix>> runs;
+  runs.reserve(widths.size() + 1);
+  for (const std::size_t width : widths) {
+    runs.push_back(detail::jacobi_top_vectors_at(width, members.size(), 5,
+                                                 load, 1e-24, 64));
+  }
+  runs.push_back(jacobi_top_vectors(members.size(), 5, load));
+  for (const std::vector<matrix>& got : runs) {
+    ASSERT_EQ(got.size(), members.size());
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      EXPECT_EQ(bit_mismatches(got[m], scalar_top_vectors(members[m], 5)), 0u)
+          << "member " << m;
+    }
+  }
+}
+
+// A holdout centered once scores every basis exactly as pca::score,
+// which centers it on each call.
+TEST(PcaHoldoutTest, CachedScoreEqualsPcaScore) {
+  const auto app = make_pca_app(7);
+  const matrix& train = app->train_features();
+  rng gen(9);
+  matrix holdout(100, train.cols());
+  for (double& v : holdout.data()) v = gen.normal();
+  const pca_holdout cached(holdout);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    pca model(5);
+    model.fit(seed == 0 ? train : corrupted_copy(train, seed));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.score(model.components())),
+              std::bit_cast<std::uint64_t>(model.score(holdout)))
+        << "seed " << seed;
+  }
+  EXPECT_EQ(pca_holdout(matrix(4, train.cols(), 2.5)).score(
+                scalar_top_vectors(covariance(train), 5)),
+            1.0);  // zero variance
 }
 
 }  // namespace

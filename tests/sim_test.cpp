@@ -3,7 +3,10 @@
 // experiment driver.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/memory_pipeline.hpp"
@@ -195,27 +198,49 @@ TEST(ApplicationsTest, ShapeMismatchRejected) {
   EXPECT_THROW((void)app->evaluate(matrix(3, 3)), std::invalid_argument);
 }
 
-// Every application's delta evaluator returns exactly evaluate() on
-// real faulty readbacks; only KNN's takes a different path (re-ranking
-// the changed rows), and it must also hold when every row changed.
-TEST(ApplicationsTest, DeltaEvaluateEqualsEvaluate) {
+// Every application's group evaluator returns exactly evaluate() for
+// each trial of a group on real faulty readbacks: KNN re-ranks the
+// changed rows (and must also hold when every row changed), PCA solves
+// the group in lanes (11 trials span two lane groups at any width),
+// Elasticnet retrains each. Each readback is produced once, in order.
+TEST(ApplicationsTest, GroupEvaluateEqualsEvaluate) {
   const storage_config config;
   const scheme_factory none = [](std::uint32_t) { return make_scheme_none(); };
+  const auto score = [](const application::group_evaluator& evaluate,
+                        const std::vector<readback>& group) {
+    std::vector<double> metrics(group.size());
+    std::size_t next = 0;
+    evaluate(
+        [&](std::size_t k) {
+          EXPECT_EQ(k, next);
+          ++next;
+          return group[k];
+        },
+        metrics);
+    EXPECT_EQ(next, group.size());
+    return metrics;
+  };
   for (const char* name : {"elasticnet", "pca", "knn"}) {
     const auto app = make_application(name, 7);
     const quantized_matrix clean = quantize(app->train_features(), config);
-    const application::delta_evaluator evaluate =
-        app->make_delta_evaluator(clean.values);
-    EXPECT_EQ(evaluate(clean.values, {}), app->evaluate(clean.values)) << name;
-    for (const std::uint64_t faults : {1u, 80u, 400u}) {
-      rng gen(faults);
-      const readback stored = store_and_readback(
-          clean, config, none, exact_fault_injector(faults), gen);
-      EXPECT_FALSE(stored.changed_rows.empty()) << name << " " << faults;
-      EXPECT_EQ(evaluate(stored.values, stored.changed_rows),
-                app->evaluate(stored.values))
-          << name << " " << faults << " faults";
+    const application::group_evaluator evaluate =
+        app->make_group_evaluator(clean.values);
+    std::vector<readback> group{{clean.values, {}}};
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      const std::uint64_t faults = k % 3 == 0 ? 1 : k % 3 == 1 ? 80 : 400;
+      rng gen(k + 1);
+      group.push_back(store_and_readback(clean, config, none,
+                                         exact_fault_injector(faults), gen));
+      EXPECT_FALSE(group.back().changed_rows.empty()) << name << " " << k;
     }
+    const std::vector<double> metrics = score(evaluate, group);
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(metrics[k]),
+                std::bit_cast<std::uint64_t>(app->evaluate(group[k].values)))
+          << name << " trial " << k;
+    }
+    EXPECT_EQ(score(evaluate, {group[2]}), std::vector<double>{metrics[2]})
+        << name;
   }
   const auto knn = make_knn_app(7);
   const quantized_matrix clean = quantize(knn->train_features(), config);
@@ -223,8 +248,8 @@ TEST(ApplicationsTest, DeltaEvaluateEqualsEvaluate) {
   for (double& v : shifted.data()) v += 0.75;
   std::vector<std::size_t> every(shifted.rows());
   for (std::size_t i = 0; i < every.size(); ++i) every[i] = i;
-  EXPECT_EQ(knn->make_delta_evaluator(clean.values)(shifted, every),
-            knn->evaluate(shifted));
+  EXPECT_EQ(score(knn->make_group_evaluator(clean.values), {{shifted, every}}),
+            std::vector<double>{knn->evaluate(shifted)});
 }
 
 // ---------------------------------------------------- quality experiment
