@@ -47,7 +47,8 @@ using matrix_source = std::function<matrix(std::size_t m)>;
 /// of jacobi_eigen(load(m), tol, max_sweeps).vectors. `load` is called
 /// once per member, in order, and its matrix is dropped once copied into
 /// its lane; the working set is one per-thread scratch (~465 KB for
-/// 8 lanes of 60 x 60) that later calls on the thread reuse.
+/// 8 lanes of 60 x 60) that later calls on the thread reuse, so `load`
+/// must not itself call jacobi_top_vectors.
 [[nodiscard]] std::vector<matrix> jacobi_top_vectors(
     std::size_t count, std::size_t k, const matrix_source& load,
     double tol = 1e-24, std::size_t max_sweeps = 64);
