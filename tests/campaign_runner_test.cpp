@@ -192,7 +192,7 @@ TEST(CampaignRunnerTest, MseSweepBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(CampaignRunnerTest, QualityExperimentBitIdenticalAcrossThreadCounts) {
-  // The rewired Fig. 7 driver end to end, tiny scale for speed: KNN's
+  // run_quality_experiment end to end, tiny scale for speed: KNN's
   // delta path and PCA's lane-batched groups.
   for (const char* name : {"knn", "pca"}) {
     const auto app = make_application(name, 7);
