@@ -28,15 +28,21 @@ struct eigen_decomposition {
   matrix vectors;
 };
 
+/// jacobi_eigen's default stopping rule, which jacobi_top_vectors
+/// always applies. Jacobi converges quadratically, so the tight
+/// tolerance costs at most a sweep or two over a loose one.
+inline constexpr double jacobi_tol = 1e-24;
+inline constexpr std::size_t jacobi_max_sweeps = 64;
+
 /// Decomposes a symmetric matrix `a`; sweeps until the off-diagonal
 /// Frobenius mass drops below `tol` (relative) or `max_sweeps` is hit.
-/// Jacobi converges quadratically, so the tight default costs at most a
-/// sweep or two over a loose one. The working copy of `a` is kept in
-/// full (both triangles, rotated row- and column-wise in the classic
-/// order), and the eigenvectors accumulate as rows of V^T so each
-/// rotation updates contiguous memory; the result is transposed back.
-[[nodiscard]] eigen_decomposition jacobi_eigen(const matrix& a, double tol = 1e-24,
-                                               std::size_t max_sweeps = 64);
+/// The working copy of `a` is kept in full (both triangles, rotated
+/// row- and column-wise in the classic order), and the eigenvectors
+/// accumulate as rows of V^T so each rotation updates contiguous
+/// memory; the result is transposed back.
+[[nodiscard]] eigen_decomposition jacobi_eigen(
+    const matrix& a, double tol = jacobi_tol,
+    std::size_t max_sweeps = jacobi_max_sweeps);
 
 /// Supplies member `m` of a batch: a symmetric p x p matrix, the same p
 /// for every member.
@@ -44,14 +50,13 @@ using matrix_source = std::function<matrix(std::size_t m)>;
 
 /// Top-`k` eigenvectors of `count` symmetric matrices, solved a lane
 /// group at a time: result m (p x k) is bit for bit the first k columns
-/// of jacobi_eigen(load(m), tol, max_sweeps).vectors. `load` is called
+/// of jacobi_eigen(load(m)).vectors. `load` is called
 /// once per member, in order, and its matrix is dropped once copied into
 /// its lane; the working set is one per-thread scratch (~465 KB for
 /// 8 lanes of 60 x 60) that later calls on the thread reuse, so `load`
 /// must not itself call jacobi_top_vectors.
 [[nodiscard]] std::vector<matrix> jacobi_top_vectors(
-    std::size_t count, std::size_t k, const matrix_source& load,
-    double tol = 1e-24, std::size_t max_sweeps = 64);
+    std::size_t count, std::size_t k, const matrix_source& load);
 
 namespace detail {
 
@@ -64,7 +69,7 @@ namespace detail {
 /// 1, 2 or a width the CPU supports (<= jacobi_lane_width()).
 [[nodiscard]] std::vector<matrix> jacobi_top_vectors_at(
     std::size_t width, std::size_t count, std::size_t k,
-    const matrix_source& load, double tol, std::size_t max_sweeps);
+    const matrix_source& load);
 
 }  // namespace detail
 

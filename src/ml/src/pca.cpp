@@ -137,8 +137,7 @@ namespace {
 /// Runs jacobi_eigen's sweeps on the lanes of (m, vt) in place, with
 /// `col` as the held column (see lane_kernel).
 using lane_solver = void (*)(double* m, double* vt, double* col,
-                             std::size_t p, double tol,
-                             std::size_t max_sweeps);
+                             std::size_t p);
 
 #if defined(__GNUC__)
 
@@ -229,8 +228,7 @@ struct lane_kernel {
   }
 
   [[gnu::always_inline]] static inline void solve(
-      double* m_data, double* vt_data, double* col_data, std::size_t p,
-      double tol, std::size_t max_sweeps) {
+      double* m_data, double* vt_data, double* col_data, std::size_t p) {
     vd* const m = reinterpret_cast<vd*>(m_data);
     vd* const vt = reinterpret_cast<vd*>(vt_data);
     vd* const col = reinterpret_cast<vd*>(col_data);
@@ -244,7 +242,7 @@ struct lane_kernel {
     const vi magnitude = vi{} + INT64_MAX;
 
     vi active = ~vi{};
-    for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
+    for (std::size_t sweep = 0; sweep < jacobi_max_sweeps; ++sweep) {
       vd off = vd{};
       for (std::size_t i = 0; i < p; ++i) {
         for (std::size_t j = i + 1; j < p; ++j) {
@@ -252,7 +250,7 @@ struct lane_kernel {
         }
       }
       // A lane stops where jacobi_eigen breaks; NaN keeps sweeping.
-      active &= ~(vi)(off / total < tol);
+      active &= ~(vi)(off / total < jacobi_tol);
       if (!any(active)) break;
 
       for (std::size_t i = 0; i < p; ++i) {
@@ -285,22 +283,21 @@ struct lane_kernel {
   }
 };
 
-void solve_lanes_2(double* m, double* vt, double* col, std::size_t p,
-                   double tol, std::size_t max_sweeps) {
-  lane_kernel<2>::solve(m, vt, col, p, tol, max_sweeps);
+void solve_lanes_2(double* m, double* vt, double* col, std::size_t p) {
+  lane_kernel<2>::solve(m, vt, col, p);
 }
 
 #if defined(URMEM_X86_LANES)
-__attribute__((target("avx2"))) void solve_lanes_4(
-    double* m, double* vt, double* col, std::size_t p, double tol,
-    std::size_t max_sweeps) {
-  lane_kernel<4>::solve(m, vt, col, p, tol, max_sweeps);
+__attribute__((target("avx2"))) void solve_lanes_4(double* m, double* vt,
+                                                   double* col,
+                                                   std::size_t p) {
+  lane_kernel<4>::solve(m, vt, col, p);
 }
 
-__attribute__((target("avx512f"))) void solve_lanes_8(
-    double* m, double* vt, double* col, std::size_t p, double tol,
-    std::size_t max_sweeps) {
-  lane_kernel<8>::solve(m, vt, col, p, tol, max_sweeps);
+__attribute__((target("avx512f"))) void solve_lanes_8(double* m, double* vt,
+                                                      double* col,
+                                                      std::size_t p) {
+  lane_kernel<8>::solve(m, vt, col, p);
 }
 #endif
 
@@ -394,8 +391,7 @@ std::size_t jacobi_lane_width() {
 
 std::vector<matrix> jacobi_top_vectors_at(std::size_t width,
                                           std::size_t count, std::size_t k,
-                                          const matrix_source& load,
-                                          double tol, std::size_t max_sweeps) {
+                                          const matrix_source& load) {
   const lane_solver solve = solver_for(width);
   expects(width == 1 || (solve != nullptr && width <= jacobi_lane_width()),
           "lane width not supported on this CPU");
@@ -403,7 +399,7 @@ std::vector<matrix> jacobi_top_vectors_at(std::size_t width,
   out.reserve(count);
   if (width == 1) {
     for (std::size_t m = 0; m < count; ++m) {
-      const eigen_decomposition eig = jacobi_eigen(load(m), tol, max_sweeps);
+      const eigen_decomposition eig = jacobi_eigen(load(m));
       expects(k >= 1 && k <= eig.vectors.cols(), "k must be in [1, p]");
       out.push_back(top_columns(eig.vectors.rows(), k,
                                 [&](std::size_t r, std::size_t rank) {
@@ -437,7 +433,7 @@ std::vector<matrix> jacobi_top_vectors_at(std::size_t width,
       for (std::size_t e = 0; e < p * p; ++e) m[e * width + lane] = data[e];
     }
     a = matrix();
-    solve(m, vt, col, p, tol, max_sweeps);
+    solve(m, vt, col, p);
     std::vector<double> diag(p);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       for (std::size_t i = 0; i < p; ++i) {
@@ -455,10 +451,9 @@ std::vector<matrix> jacobi_top_vectors_at(std::size_t width,
 }  // namespace detail
 
 std::vector<matrix> jacobi_top_vectors(std::size_t count, std::size_t k,
-                                       const matrix_source& load, double tol,
-                                       std::size_t max_sweeps) {
+                                       const matrix_source& load) {
   return detail::jacobi_top_vectors_at(detail::jacobi_lane_width(), count, k,
-                                       load, tol, max_sweeps);
+                                       load);
 }
 
 pca::pca(std::size_t n_components) : n_components_(n_components) {

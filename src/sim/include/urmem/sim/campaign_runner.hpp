@@ -45,7 +45,7 @@ namespace urmem {
 /// Parameters of a campaign runner.
 struct campaign_config {
   unsigned threads = 0;          ///< worker count; 0 = all hardware threads
-  std::uint64_t batch_size = 0;  ///< trials or groups per claim; 0 = auto
+  std::uint64_t batch_size = 0;  ///< trials claimed per scheduling step; 0 = auto
   std::uint64_t seed = 0;        ///< root seed; trial i sees make_stream_rng(seed, i)
 };
 
@@ -104,8 +104,9 @@ class campaign_runner {
 
   /// Executes `trials` trials in groups of `group` consecutive trials
   /// (the last group may be shorter), one body call per group: the hook
-  /// for kernels that solve several trials at once. The group is the
-  /// scheduling unit; last_stats().trials still counts trials.
+  /// for kernels that solve several trials at once. A claim takes whole
+  /// groups: batch_size trials, rounded up to a multiple of `group`.
+  /// last_stats().trials still counts trials.
   void run_groups(std::uint64_t trials, std::uint64_t group,
                   const group_body& body);
 

@@ -31,7 +31,7 @@ struct quality_experiment_config {
   fault_polarity polarity = fault_polarity::flip;  ///< paper injects bit-flips
   std::uint64_t seed = 99;
   unsigned threads = 1;                ///< campaign workers; 0 = all cores
-  std::uint64_t batch_size = 0;        ///< trial groups per step; 0 = auto
+  std::uint64_t batch_size = 0;        ///< trials per scheduling step; 0 = auto
 };
 
 /// One scheme's quality distribution.

@@ -260,7 +260,8 @@ void campaign_runner::run_units(std::uint64_t trials, std::uint64_t group,
   job.trials = trials;
   job.group = group;
   job.seed = config_.seed;
-  job.batch = config_.batch_size != 0 ? config_.batch_size
+  // batch_size counts trials; a claim takes whole groups, rounded up.
+  job.batch = config_.batch_size != 0 ? (config_.batch_size - 1) / group + 1
                                       : auto_batch(units, thread_count_);
   job.shard_count = thread_count_;
   job.shards = std::make_unique<shard[]>(thread_count_);

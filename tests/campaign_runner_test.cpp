@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "urmem/common/rng.hpp"
@@ -90,6 +91,18 @@ TEST(CampaignRunnerTest, GroupsCarryConsecutiveTrialsOnTheirOwnStreams) {
       }
       EXPECT_EQ(runner.last_stats().trials, 100u);
     }
+  }
+}
+
+// batch_size counts trials under run_groups too: a claim takes that
+// many trials rounded up to whole groups.
+TEST(CampaignRunnerTest, GroupBatchSizeCountsTrials) {
+  for (const auto& [batch, claims] :
+       {std::pair<std::uint64_t, std::uint64_t>{16, 7}, {17, 5}, {3, 13}}) {
+    campaign_runner runner({.threads = 1, .batch_size = batch, .seed = 3});
+    runner.run_groups(100, 8, [](std::uint64_t, std::span<rng>) {});
+    EXPECT_EQ(runner.last_stats().batches, claims) << batch;
+    EXPECT_EQ(runner.last_stats().trials, 100u) << batch;
   }
 }
 

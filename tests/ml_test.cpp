@@ -703,8 +703,7 @@ TEST(JacobiLanesTest, EveryWidthMatchesScalarBitForBit) {
             EXPECT_EQ(m, loads);
             ++loads;
             return members[m];
-          },
-          1e-24, 64);
+          });
       ASSERT_EQ(got.size(), count);
       EXPECT_EQ(loads, count);
       for (std::size_t m = 0; m < count; ++m) {
@@ -730,8 +729,8 @@ TEST(JacobiLanesTest, Fig7CovariancesMatchScalarBitForBit) {
   std::vector<std::vector<matrix>> runs;
   runs.reserve(widths.size() + 1);
   for (const std::size_t width : widths) {
-    runs.push_back(detail::jacobi_top_vectors_at(width, members.size(), 5,
-                                                 load, 1e-24, 64));
+    runs.push_back(
+        detail::jacobi_top_vectors_at(width, members.size(), 5, load));
   }
   runs.push_back(jacobi_top_vectors(members.size(), 5, load));
   for (const std::vector<matrix>& got : runs) {
