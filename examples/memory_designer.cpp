@@ -14,6 +14,7 @@
 #include "urmem/hwmodel/overhead_model.hpp"
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
+#include "urmem/sim/campaign_runner.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
 int main() {
@@ -33,6 +34,8 @@ int main() {
   config.total_runs = 400'000;
   config.n_max = 120;
   config.include_fault_free = true;
+  // The sweep runs on every hardware thread, seeded like the config.
+  campaign_runner runner({.seed = config.seed});
 
   const overhead_model hw(gate_library::fdsoi_28nm(),
                           sram_macro_model::fdsoi_28nm(),
@@ -58,7 +61,8 @@ int main() {
                        "read power (rel ECC)", "area (rel ECC)"});
   const candidate* cheapest = nullptr;
   for (const candidate& c : candidates) {
-    const empirical_cdf cdf = compute_mse_cdf(*c.scheme, rows, pcell, config);
+    const empirical_cdf cdf =
+        compute_mse_cdf(runner, *c.scheme, rows, pcell, config);
     const double yield = yield_at_mse(cdf, mse_budget);
     const bool feasible = yield >= yield_target;
     const double rel_power =

@@ -12,6 +12,7 @@
 #include "urmem/common/table.hpp"
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
+#include "urmem/sim/campaign_runner.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
 int main() {
@@ -28,6 +29,8 @@ int main() {
   config.total_runs = 300'000;
   config.n_max = 600;
   config.include_fault_free = true;
+  // The sweep runs on every hardware thread, seeded like the config.
+  campaign_runner runner({.seed = config.seed});
 
   console_table table({"VDD [V]", "Pcell", "zero-failure yield",
                        "yield none @ MSE<1e6", "yield nFM=1", "yield nFM=3"});
@@ -39,7 +42,8 @@ int main() {
     const double pcell = model.pcell(vdd);
     const double zero_failure = cell_failure_model::array_yield(cells, pcell);
     const auto yield_of = [&](const protection_scheme& scheme) {
-      return yield_at_mse(compute_mse_cdf(scheme, rows, pcell, config), mse_budget);
+      return yield_at_mse(compute_mse_cdf(runner, scheme, rows, pcell, config),
+                          mse_budget);
     };
     table.add_row({format_double(vdd, 3), format_scientific(pcell, 2),
                    format_percent(zero_failure, 2), format_percent(yield_of(*none), 2),

@@ -466,8 +466,7 @@ class multifault_policy_workload final : public workload {
   }
 
   workload_output run(const scenario_spec& spec,
-                      campaign_pool& /*pool*/) const override {
-    // compute_mse_cdf owns its deterministic stream: no pool.
+                      campaign_pool& pool) const override {
     reject_schemes(spec, "multifault-policy");
     const std::uint32_t rows = spec.geometry.rows_per_tile;
     const unsigned width = spec.geometry.word_bits;
@@ -486,6 +485,9 @@ class multifault_policy_workload final : public workload {
     config.total_runs = runs_;
     config.seed = spec.seeds.root;
     config.n_max = n_max_;
+    // Every Pcell x nFM x policy point is one stratified sweep on the
+    // pool, seeded like it with spec.seeds.root.
+    campaign_runner& runner = pool.runner();
 
     workload_output output;
     output.json = json_value::make_object();
@@ -500,7 +502,8 @@ class multifault_policy_workload final : public workload {
         for (const shift_policy policy :
              {shift_policy::min_mse, shift_policy::first_fault}) {
           const auto scheme = make_scheme_shuffle(rows, width, n_fm, policy);
-          const empirical_cdf cdf = compute_mse_cdf(*scheme, rows, pcell, config);
+          const empirical_cdf cdf =
+              compute_mse_cdf(runner, *scheme, rows, pcell, config);
           const double q90 = mse_for_yield(cdf, 0.90);
           const double q99 = mse_for_yield(cdf, 0.99);
           const char* policy_name =

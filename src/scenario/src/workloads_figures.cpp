@@ -24,40 +24,6 @@ namespace {
 
 // ------------------------------------------------------------- fig5-mse
 
-/// Stratified Fig. 5 sweep of one scheme as a fault-injection campaign:
-/// trial i belongs to the stratum covering i in the flattened
-/// per-stratum sample allocation, and every trial draws its own fault
-/// map on its own deterministic stream.
-empirical_cdf campaign_mse_cdf(campaign_runner& runner,
-                               const protection_scheme& scheme,
-                               std::uint32_t rows, double pcell,
-                               const mse_cdf_config& config) {
-  const array_geometry geometry{rows, scheme.storage_bits()};
-  std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
-  if (config.include_fault_free) {
-    // Same Pr(N = 0) mass at MSE 0 that compute_mse_cdf prepends; an
-    // n = 0 trial draws no cells and costs 0 without touching its rng.
-    const binomial_distribution dist(geometry.cells(), pcell);
-    strata.insert(strata.begin(), {0, 1, dist.pmf(0)});
-  }
-
-  std::vector<std::uint64_t> starts;  // first trial index of each stratum
-  starts.reserve(strata.size());
-  std::uint64_t trials = 0;
-  for (const mse_stratum& s : strata) {
-    starts.push_back(trials);
-    trials += s.count;
-  }
-
-  return runner.map_weighted(
-      trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
-        const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
-        const mse_stratum& s = strata[static_cast<std::size_t>(
-            std::distance(starts.begin(), it) - 1)];
-        return {sample_mse(scheme, geometry, s.n, gen), s.weight_each};
-      });
-}
-
 /// Fig. 5: CDF of the memory MSE (Eq. 6) across the spec's schemes.
 class fig5_workload final : public workload {
  public:
@@ -131,7 +97,7 @@ class fig5_workload final : public workload {
       } else {
         campaign_runner& runner = pool.runner();
         std::cerr << "  sampling " << scheme->name() << "...\n";
-        cdfs.push_back(campaign_mse_cdf(runner, *scheme, rows, pcell, config));
+        cdfs.push_back(compute_mse_cdf(runner, *scheme, rows, pcell, config));
         const campaign_stats stats = runner.last_stats();
         total_trials += stats.trials;
         std::cerr << "    " << stats.trials << " trials in " << stats.batches

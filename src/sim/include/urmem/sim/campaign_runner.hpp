@@ -26,7 +26,7 @@
 //
 // Trial bodies must be thread-safe: they may read shared immutable
 // state (the application, the scheme factory) but must confine writes
-// to their own trials' slots — exactly what run()/map()/run_weighted()
+// to their own trials' slots — exactly what run()/map()/map_weighted()
 // provide.
 #pragma once
 
@@ -80,9 +80,6 @@ class campaign_runner {
   /// gens[k], its own make_stream_rng engine.
   using group_body =
       std::function<void(std::uint64_t first, std::span<rng> gens)>;
-  /// Runs one trial and appends its (value, weight) samples to `out`.
-  using sampling_body = std::function<void(
-      std::uint64_t trial, rng& gen, std::vector<weighted_sample>& out)>;
 
   explicit campaign_runner(campaign_config config = {});
   ~campaign_runner();
@@ -127,18 +124,10 @@ class campaign_runner {
 
   /// Weighted-sampling campaign with exactly one sample per trial,
   /// written to the trial's own slot and merged in trial order — the
-  /// allocation-lean reduction behind the Fig. 5 mse_distribution and
-  /// Fig. 7 quality sweeps.
+  /// reduction behind the Fig. 5 sweep (compute_mse_cdf).
   [[nodiscard]] empirical_cdf map_weighted(
       std::uint64_t trials,
       const std::function<weighted_sample(std::uint64_t, rng&)>& fn);
-
-  /// General weighted-sampling campaign: trials may emit any number of
-  /// samples; all are merged in trial order into one empirical CDF. At
-  /// least one sample must be emitted overall. Costs a per-sample trial
-  /// tag plus a merge sort — prefer map_weighted for one-sample trials.
-  [[nodiscard]] empirical_cdf run_weighted(std::uint64_t trials,
-                                           const sampling_body& body);
 
   /// Scheduling counters of the most recent campaign.
   [[nodiscard]] const campaign_stats& last_stats() const noexcept {

@@ -304,53 +304,4 @@ empirical_cdf campaign_runner::map_weighted(
   return empirical_cdf(std::move(values), std::move(weights));
 }
 
-empirical_cdf campaign_runner::run_weighted(std::uint64_t trials,
-                                            const sampling_body& body) {
-  expects(static_cast<bool>(body), "campaign needs a sampling body");
-  // Per-worker flat buffers (reused scratch per trial) keep the memory
-  // and allocation count flat even for 1e7-trial micro-campaigns.
-  struct tagged_sample {
-    std::uint64_t trial;
-    weighted_sample sample;
-  };
-  std::vector<std::vector<tagged_sample>> buffers(thread_count_);
-  std::vector<std::vector<weighted_sample>> scratch(thread_count_);
-  run(trials, worker_trial_body([&](std::uint64_t trial, rng& gen,
-                                    unsigned worker) {
-    std::vector<weighted_sample>& out = scratch[worker];
-    out.clear();
-    body(trial, gen, out);
-    for (const weighted_sample& s : out) buffers[worker].push_back({trial, s});
-  }));
-
-  // Merge in trial order. Every trial runs on exactly one worker, so its
-  // samples sit contiguously (in emission order) in one buffer; a stable
-  // sort by trial index therefore yields a schedule-independent order,
-  // and with it bit-identical floating-point accumulation.
-  std::size_t total = 0;
-  for (const auto& buffer : buffers) total += buffer.size();
-  ensures(total > 0, "campaign emitted no samples");
-  std::vector<tagged_sample> merged;
-  merged.reserve(total);
-  for (auto& buffer : buffers) {
-    merged.insert(merged.end(), buffer.begin(), buffer.end());
-    buffer.clear();
-    buffer.shrink_to_fit();
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const tagged_sample& a, const tagged_sample& b) {
-                     return a.trial < b.trial;
-                   });
-
-  std::vector<double> values;
-  std::vector<double> weights;
-  values.reserve(total);
-  weights.reserve(total);
-  for (const tagged_sample& s : merged) {
-    values.push_back(s.sample.value);
-    weights.push_back(s.sample.weight);
-  }
-  return empirical_cdf(std::move(values), std::move(weights));
-}
-
 }  // namespace urmem

@@ -19,7 +19,10 @@
 // maps (the paper's Fig. 5 uses total_runs = 1e7 and n = 1..150),
 // evaluates Eq. (6) through the scheme's worst_case_row_cost, and
 // weights each stratum by its binomial probability. The resulting
-// weighted CDF *is* the yield as a function of the tolerated MSE.
+// weighted CDF *is* the yield as a function of the tolerated MSE. The
+// sweep is a campaign on a campaign_runner: trial i draws its fault
+// map on its own stream, make_stream_rng(seed, i), so the CDF is
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,7 @@
 #include "urmem/common/rng.hpp"
 #include "urmem/common/stats.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
+#include "urmem/sim/campaign_runner.hpp"
 
 namespace urmem {
 
@@ -37,7 +41,7 @@ struct mse_cdf_config {
   std::uint64_t n_max = 150;              ///< largest failure count stratum
   bool include_fault_free = false;        ///< add the Pr(N=0) mass at MSE 0
                                           ///< (Eq. 5 sums from i = 1)
-  std::uint64_t seed = 42;
+  std::uint64_t seed = 42;                ///< must equal the runner's seed
 };
 
 /// One stratum of the stratified sweep: `count` random fault maps at
@@ -65,8 +69,13 @@ struct mse_stratum {
 
 /// Stratified Monte-Carlo CDF of the analytic MSE of `scheme` on a
 /// memory with `rows` words and cell failure probability `pcell`.
-/// Fault positions are uniform over the scheme's storage columns.
-[[nodiscard]] empirical_cdf compute_mse_cdf(const protection_scheme& scheme,
+/// Fault positions are uniform over the scheme's storage columns. Trial
+/// i belongs to the stratum covering i in the flattened per-stratum
+/// allocation (the Pr(N = 0) mass, when included, is an n = 0 stratum
+/// of one trial at MSE 0) and runs on `runner`, whose seed must equal
+/// config.seed.
+[[nodiscard]] empirical_cdf compute_mse_cdf(campaign_runner& runner,
+                                            const protection_scheme& scheme,
                                             std::uint32_t rows, double pcell,
                                             const mse_cdf_config& config);
 

@@ -1,7 +1,8 @@
 #include "urmem/yield/mse_distribution.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
+#include <iterator>
 #include <vector>
 
 #include "urmem/common/binomial.hpp"
@@ -35,30 +36,39 @@ double sample_mse(const protection_scheme& scheme,
   return analytic_mse(scheme, sample_fault_map_exact(geometry, n, gen));
 }
 
-empirical_cdf compute_mse_cdf(const protection_scheme& scheme, std::uint32_t rows,
-                              double pcell, const mse_cdf_config& config) {
+empirical_cdf compute_mse_cdf(campaign_runner& runner,
+                              const protection_scheme& scheme,
+                              std::uint32_t rows, double pcell,
+                              const mse_cdf_config& config) {
   expects(rows >= 1, "memory needs at least one row");
+  expects(config.seed == runner.seed(),
+          "mse_cdf_config::seed must equal the campaign runner's seed");
 
   const array_geometry geometry{rows, scheme.storage_bits()};
-  const std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
-  rng gen(config.seed);
-
-  std::vector<double> values;
-  std::vector<double> weights;
+  std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
   if (config.include_fault_free) {
+    // An n = 0 trial draws no cells and costs 0 without touching its rng.
     const binomial_distribution dist(geometry.cells(), pcell);
-    values.push_back(0.0);
-    weights.push_back(dist.pmf(0));
+    strata.insert(strata.begin(), {0, 1, dist.pmf(0)});
   }
-  for (const mse_stratum& stratum : strata) {
-    for (std::uint64_t s = 0; s < stratum.count; ++s) {
-      values.push_back(sample_mse(scheme, geometry, stratum.n, gen));
-      weights.push_back(stratum.weight_each);
-    }
-  }
-  ensures(!values.empty(),
+  ensures(!strata.empty(),
           "no stratum received samples; increase total_runs or the n range");
-  return empirical_cdf(std::move(values), std::move(weights));
+
+  std::vector<std::uint64_t> starts;  // first trial index of each stratum
+  starts.reserve(strata.size());
+  std::uint64_t trials = 0;
+  for (const mse_stratum& s : strata) {
+    starts.push_back(trials);
+    trials += s.count;
+  }
+
+  return runner.map_weighted(
+      trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
+        const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
+        const mse_stratum& s = strata[static_cast<std::size_t>(
+            std::distance(starts.begin(), it) - 1)];
+        return {sample_mse(scheme, geometry, s.n, gen), s.weight_each};
+      });
 }
 
 double yield_at_mse(const empirical_cdf& cdf, double mse_target) {

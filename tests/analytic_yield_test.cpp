@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "urmem/scheme/protection_scheme.hpp"
+#include "urmem/sim/campaign_runner.hpp"
 #include "urmem/yield/analytic.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
@@ -81,7 +82,9 @@ TEST(SingleFaultDistributionTest, MonteCarloOneFaultStratumMatchesExactly) {
     config.n_min = 1;
     config.n_max = 1;
     config.seed = 5;
-    const empirical_cdf sampled = compute_mse_cdf(*scheme, 4096, 5e-6, config);
+    campaign_runner runner({.threads = 2, .seed = config.seed});
+    const empirical_cdf sampled =
+        compute_mse_cdf(runner, *scheme, 4096, 5e-6, config);
     for (const double v : exact.support()) {
       EXPECT_NEAR(sampled.at(v), exact.at(v), 0.01)
           << scheme->name() << " at MSE " << v;
@@ -126,7 +129,9 @@ TEST(AnalyticMixtureCdfTest, AgreesWithMonteCarloAtFig5OperatingPoint) {
     mc_config.total_runs = 400'000;
     mc_config.n_max = 40;
     mc_config.seed = 21;
-    const empirical_cdf sampled = compute_mse_cdf(*scheme, 4096, 5e-6, mc_config);
+    campaign_runner runner({.threads = 2, .seed = mc_config.seed});
+    const empirical_cdf sampled =
+        compute_mse_cdf(runner, *scheme, 4096, 5e-6, mc_config);
     for (const double q : {1e-3, 1e-1, 1e1, 1e3, 1e5, 1e7, 1e9}) {
       EXPECT_NEAR(sampled.at(q), exact.at(q), 0.01)
           << scheme->name() << " at MSE " << q;

@@ -141,33 +141,6 @@ TEST(CampaignRunnerTest, RunnerIsReusableAcrossCampaigns) {
 
 // ---------------------------------------------- bit-identical aggregates
 
-/// The ISSUE's determinism contract: identical aggregate results for the
-/// same seed at 1, 2, and 8 threads — compared bit-for-bit.
-TEST(CampaignRunnerTest, WeightedAggregateBitIdenticalAt1_2_8Threads) {
-  const auto run_at = [](unsigned threads) {
-    campaign_runner runner({.threads = threads, .seed = 2026});
-    return runner.run_weighted(
-        500, [](std::uint64_t trial, rng& gen,
-                std::vector<weighted_sample>& out) {
-          // Variable-length emission exercises the merge ordering.
-          const std::size_t count = 1 + trial % 3;
-          for (std::size_t i = 0; i < count; ++i) {
-            out.push_back({gen.normal(), 1.0 + gen.uniform()});
-          }
-        });
-  };
-  const empirical_cdf reference = run_at(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const empirical_cdf cdf = run_at(threads);
-    ASSERT_EQ(cdf.size(), reference.size()) << threads;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      // EXPECT_EQ on doubles is exact: bit-identical, not just close.
-      EXPECT_EQ(cdf.support()[i], reference.support()[i]) << threads;
-      EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i]) << threads;
-    }
-  }
-}
-
 TEST(CampaignRunnerTest, BatchSizeDoesNotChangeResults) {
   const auto run_at = [](std::uint64_t batch) {
     campaign_runner runner({.threads = 4, .batch_size = batch, .seed = 31});
@@ -179,25 +152,28 @@ TEST(CampaignRunnerTest, BatchSizeDoesNotChangeResults) {
   EXPECT_EQ(run_at(1024), reference);
 }
 
+/// The determinism contract on a real Fig. 5 workload: the stratified
+/// compute_mse_cdf sweep of the P-ECC scheme, Pr(N = 0) stratum
+/// included, gives bit-identical CDFs for the same seed at 1, 2 and 8
+/// threads.
 TEST(CampaignRunnerTest, MseSweepBitIdenticalAcrossThreadCounts) {
-  // A real Fig. 5-style workload: stratified MSE sampling of the P-ECC
-  // scheme through sample_mse, merged by run_weighted.
   const auto scheme = make_scheme_pecc();
-  const array_geometry geometry{256, scheme->storage_bits()};
+  mse_cdf_config config;
+  config.total_runs = 4000;
+  config.n_max = 12;
+  config.include_fault_free = true;
+  config.seed = 404;
   const auto run_at = [&](unsigned threads) {
-    campaign_runner runner({.threads = threads, .seed = 404});
-    return runner.run_weighted(
-        400, [&](std::uint64_t trial, rng& gen,
-                 std::vector<weighted_sample>& out) {
-          const std::uint64_t n = 1 + trial % 5;
-          out.push_back({sample_mse(*scheme, geometry, n, gen), 1.0});
-        });
+    campaign_runner runner({.threads = threads, .seed = config.seed});
+    return compute_mse_cdf(runner, *scheme, 256, 5e-4, config);
   };
   const empirical_cdf reference = run_at(1);
+  ASSERT_GT(reference.size(), 1u);
   for (const unsigned threads : {2u, 8u}) {
     const empirical_cdf cdf = run_at(threads);
     ASSERT_EQ(cdf.size(), reference.size()) << threads;
     for (std::size_t i = 0; i < reference.size(); ++i) {
+      // EXPECT_EQ on doubles is exact: bit-identical, not just close.
       EXPECT_EQ(cdf.support()[i], reference.support()[i]) << threads;
       EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i]) << threads;
     }

@@ -10,6 +10,7 @@
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/scheme/protected_memory.hpp"
 #include "urmem/sim/applications.hpp"
+#include "urmem/sim/campaign_runner.hpp"
 #include "urmem/sim/memory_pipeline.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
@@ -57,7 +58,8 @@ TEST(IntegrationTest, RelaxedYieldCriterionAcceptsWhatEccYieldRejects) {
   config.n_max = 40;
   config.include_fault_free = true;
   const auto scheme = make_scheme_shuffle(4096, 32, 1);
-  const empirical_cdf cdf = compute_mse_cdf(*scheme, 4096, pcell, config);
+  campaign_runner runner({.threads = 2, .seed = config.seed});
+  const empirical_cdf cdf = compute_mse_cdf(runner, *scheme, 4096, pcell, config);
   // Quality-aware yield at the paper's MSE target of 1e6.
   EXPECT_GT(yield_at_mse(cdf, 1e6), 0.999);
 }
@@ -120,13 +122,14 @@ TEST(IntegrationTest, VoltageScalingEnergyQualityNarrative) {
   config.n_max = 60;
   const auto none = make_scheme_none();
   const auto shuffled = make_scheme_shuffle(4096, 32, 1);
+  campaign_runner runner({.threads = 2, .seed = config.seed});
 
   double prev_gap = 0.0;
   for (const double pcell : {1e-6, 1e-5, 5e-5}) {
-    const double q_none =
-        mse_for_yield(compute_mse_cdf(*none, 4096, pcell, config), 0.95);
-    const double q_shuffle =
-        mse_for_yield(compute_mse_cdf(*shuffled, 4096, pcell, config), 0.95);
+    const double q_none = mse_for_yield(
+        compute_mse_cdf(runner, *none, 4096, pcell, config), 0.95);
+    const double q_shuffle = mse_for_yield(
+        compute_mse_cdf(runner, *shuffled, 4096, pcell, config), 0.95);
     const double gap = q_none / q_shuffle;
     EXPECT_GT(gap, 30.0) << "pcell=" << pcell;
     EXPECT_GE(gap, prev_gap * 0.5);  // the advantage persists as VDD drops

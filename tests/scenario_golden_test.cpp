@@ -1,14 +1,13 @@
 // Golden equivalence of the scenario runner against the legacy
 // hand-wired experiment drivers: the fig5 and fig7 aggregates computed
-// through `scenario_runner` must be bit-identical to the pre-API code
-// path (reproduced inline here exactly as the old binaries wired it) at
-// fixed seeds, at 1 and 4 campaign threads.
+// through `scenario_runner` must be bit-identical to the library calls
+// the old binaries made on a shared pool (compute_mse_cdf per scheme
+// for fig5, run_quality_experiment per scheme for fig7) at fixed
+// seeds, at 1 and 4 campaign threads.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
-#include "urmem/common/binomial.hpp"
 #include "urmem/scenario/scenario_runner.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
 #include "urmem/sim/applications.hpp"
@@ -17,30 +16,6 @@
 
 namespace urmem {
 namespace {
-
-// Legacy fig5 driver core, verbatim from the pre-API bench binary: one
-// stratified campaign per scheme on a shared pool.
-empirical_cdf legacy_fig5_cdf(campaign_runner& runner,
-                              const protection_scheme& scheme,
-                              std::uint32_t rows, double pcell,
-                              const mse_cdf_config& config) {
-  const array_geometry geometry{rows, scheme.storage_bits()};
-  const std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
-  std::vector<std::uint64_t> starts;
-  starts.reserve(strata.size());
-  std::uint64_t trials = 0;
-  for (const mse_stratum& s : strata) {
-    starts.push_back(trials);
-    trials += s.count;
-  }
-  return runner.map_weighted(
-      trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
-        const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
-        const mse_stratum& s = strata[static_cast<std::size_t>(
-            std::distance(starts.begin(), it) - 1)];
-        return {sample_mse(scheme, geometry, s.n, gen), s.weight_each};
-      });
-}
 
 constexpr std::uint64_t kFig5Runs = 20'000;
 constexpr std::uint64_t kFig5Nmax = 30;
@@ -53,6 +28,8 @@ struct fig5_quantiles {
 };
 
 std::vector<fig5_quantiles> legacy_fig5(unsigned threads) {
+  // The pre-API fig5 binary's wiring: one stratified campaign per
+  // scheme on a shared pool.
   mse_cdf_config config;
   config.total_runs = kFig5Runs;
   config.n_max = kFig5Nmax;
@@ -67,7 +44,7 @@ std::vector<fig5_quantiles> legacy_fig5(unsigned threads) {
   std::vector<fig5_quantiles> result;
   for (const auto& scheme : schemes) {
     const empirical_cdf cdf =
-        legacy_fig5_cdf(runner, *scheme, kRows, kFig5Pcell, config);
+        compute_mse_cdf(runner, *scheme, kRows, kFig5Pcell, config);
     result.push_back({mse_for_yield(cdf, 0.50), mse_for_yield(cdf, 0.90),
                       mse_for_yield(cdf, 0.99), mse_for_yield(cdf, 0.9999),
                       yield_at_mse(cdf, 1e6)});

@@ -3,11 +3,14 @@
 // (Fig. 4), and multi-fault shift policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
+#include "urmem/scheme/protection_scheme.hpp"
 #include "urmem/shuffle/bit_shuffler.hpp"
 #include "urmem/shuffle/fm_lut.hpp"
 #include "urmem/shuffle/shift_policy.hpp"
@@ -258,6 +261,41 @@ TEST(ShuffleSchemeTest, LutOnlyConsidersDataColumns) {
   faults.add({1, 35, fault_kind::flip});  // beyond the 32 data columns
   scheme.program(faults);
   EXPECT_EQ(scheme.lut().get(1), 0u);
+}
+
+TEST(ShuffleSchemeTest, MinMseIsOptimalOnEveryTwoFaultRow) {
+  // Exhaustive over all C(32, 2) = 496 two-fault rows of nFM = 2 (S = 8):
+  // the programmed scheme's row cost equals the brute-force minimum of
+  // sum 4^b over the four rotations, and the worst row, faults at
+  // columns 7 and 23 (16 apart, so one always lands in bit 23 or 31),
+  // costs 4^23 + 4^7: 2^-16 of the unprotected single-fault 4^31.
+  const auto scheme = make_scheme_shuffle(4096, 32, 2);
+  const bit_shuffler s(32, 2);
+  const auto cost_at = [&s](std::uint32_t col, unsigned xfm) {
+    return std::ldexp(1.0, 2 * static_cast<int>(s.logical_position(col, xfm)));
+  };
+  double worst = 0.0;
+  std::uint32_t worst_a = 0;
+  std::uint32_t worst_b = 0;
+  for (std::uint32_t a = 0; a < 32; ++a) {
+    for (std::uint32_t b = a + 1; b < 32; ++b) {
+      double optimum = std::numeric_limits<double>::infinity();
+      for (unsigned xfm = 0; xfm < s.segment_count(); ++xfm) {
+        optimum = std::min(optimum, cost_at(a, xfm) + cost_at(b, xfm));
+      }
+      const std::uint32_t cols[] = {a, b};
+      const double cost = scheme->worst_case_row_cost(0, cols);
+      EXPECT_EQ(cost, optimum) << "cols " << a << ", " << b;
+      if (cost > worst) {
+        worst = cost;
+        worst_a = a;
+        worst_b = b;
+      }
+    }
+  }
+  EXPECT_EQ(worst, std::ldexp(1.0, 46) + std::ldexp(1.0, 14));
+  EXPECT_EQ(worst_a, 7u);
+  EXPECT_EQ(worst_b, 23u);
 }
 
 TEST(ShuffleSchemeTest, RowCountMismatchRejected) {
