@@ -159,7 +159,7 @@ class fig5_workload final : public workload {
       claims.add_row({"yield @ MSE < 1e6, nFM=1", "99.9999%",
                       format_percent(yield_at_mse(cdfs[idx_n1], 1e6), 4)});
       claims.add_row({"yield @ MSE < 1e6, no correction",
-                      "<6%  (see EXPERIMENTS.md)",
+                      "<6%",
                       format_percent(yield_at_mse(cdfs[idx_none], 1e6), 1)});
       claims.add_row({"nFM=2..5 beat P-ECC @ yield 99%", "yes",
                       mse_for_yield(cdfs[idx_n2], 0.99) <
