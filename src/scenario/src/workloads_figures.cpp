@@ -8,7 +8,6 @@
 #include <memory>
 #include <sstream>
 
-#include "urmem/common/binomial.hpp"
 #include "urmem/common/table.hpp"
 #include "urmem/hwmodel/overhead_model.hpp"
 #include "urmem/scenario/workload_registry.hpp"
