@@ -13,7 +13,6 @@
 // test oracles and for the BIST engine's expected-data comparison.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,9 +36,7 @@ enum class fault_path : std::uint8_t {
 /// serving tier's per-row stripe locks) and must not overlap
 /// set_faults/set_fault_path/fill with traffic (the serving tier's
 /// exclusive epoch gate guarantees that). Distinct-row reads/writes
-/// touch disjoint words_ slots and are safe. The one internally
-/// synchronized member is the relaxed atomic access counter, so the
-/// energy tally stays exact under concurrent traffic.
+/// touch disjoint data_ slots and are safe.
 class sram_array {
  public:
   /// Fault-free array of the given geometry.
@@ -82,12 +79,11 @@ class sram_array {
   [[nodiscard]] word_t read(std::uint32_t row) const;
 
   /// Batched write of rows [first, first + values.size()): one word per
-  /// row, streamed through the compiled planes. Counts one access per
-  /// word, added once for the whole row op.
+  /// row, streamed through the compiled planes.
   void write_rows(std::uint32_t first, std::span<const word_t> values);
 
   /// Batched read of rows [first, first + out.size()) through the
-  /// faulty cells. Counts one access per word, added once per row op.
+  /// faulty cells.
   void read_rows(std::uint32_t first, std::span<word_t> out) const;
 
   /// Reads `row` bypassing the faults (test/BIST oracle only; a real
@@ -97,22 +93,11 @@ class sram_array {
   /// Fills every row with `value`.
   void fill(word_t value);
 
-  /// Total accesses performed so far (reads + writes), for the energy
-  /// accounting in the hardware model examples. Batched row ops count
-  /// exactly one access per word touched. The counter is a relaxed
-  /// atomic so concurrent serving traffic (distinct rows from many
-  /// threads) tallies exactly without a data race; it imposes no
-  /// ordering on the data itself.
-  [[nodiscard]] std::uint64_t access_count() const {
-    return accesses_.load(std::memory_order_relaxed);
-  }
-
  private:
   fault_map faults_;
   fault_plane plane_;
   std::vector<word_t> data_;
   fault_path path_ = default_fault_path();
-  mutable std::atomic<std::uint64_t> accesses_{0};
 };
 
 }  // namespace urmem

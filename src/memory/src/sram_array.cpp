@@ -1,7 +1,6 @@
 #include "urmem/memory/sram_array.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <string_view>
 
@@ -46,12 +45,10 @@ void sram_array::write(std::uint32_t row, word_t value) {
   data_[row] = path_ == fault_path::reference
                    ? faults_.apply_write(row, data_[row], value)
                    : plane_.apply_write(row, data_[row], value);
-  accesses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 word_t sram_array::read(std::uint32_t row) const {
   expects(row < rows(), "row out of range");
-  accesses_.fetch_add(1, std::memory_order_relaxed);
   return path_ == fault_path::reference
              ? faults_.corrupt(row, data_[row])
              : plane_.corrupt(row, data_[row]);
@@ -69,13 +66,11 @@ void sram_array::write_rows(std::uint32_t first, std::span<const word_t> values)
     plane_.apply_write_rows(first, values,
                             std::span<word_t>(data_).subspan(first, values.size()));
   }
-  accesses_.fetch_add(values.size(), std::memory_order_relaxed);
 }
 
 void sram_array::read_rows(std::uint32_t first, std::span<word_t> out) const {
   expects(first <= rows() && out.size() <= rows() - first,
           "row range out of bounds");
-  accesses_.fetch_add(out.size(), std::memory_order_relaxed);
   if (path_ == fault_path::reference) {
     for (std::size_t i = 0; i < out.size(); ++i) {
       const auto row = first + static_cast<std::uint32_t>(i);

@@ -132,6 +132,15 @@ void reject_schemes(const scenario_spec& spec, std::string_view workload_name);
 void reject_region_operating_points(const scenario_spec& spec,
                                     std::string_view workload_name);
 
+/// Region table a lifecycle or serving tile of `recipe` is
+/// manufactured with: the recipe's own regions (tiered entries) or one
+/// homogeneous region over spec.geometry.rows_per_tile rows, with the
+/// spec's `retire.spare_rows` runtime pool added to region
+/// `retire.reliable_region` (a spec_error naming that field when the
+/// tile has no such region).
+[[nodiscard]] std::vector<memory_region> lifecycle_tile_regions(
+    const scenario_spec& spec, const scheme_recipe& recipe);
+
 namespace detail {
 /// Built-in registration hooks (explicit calls, so static-library
 /// linking cannot drop them).

@@ -122,6 +122,22 @@ void reject_region_operating_points(const scenario_spec& spec,
   }
 }
 
+std::vector<memory_region> lifecycle_tile_regions(const scenario_spec& spec,
+                                                  const scheme_recipe& recipe) {
+  std::vector<memory_region> regions = recipe.regions;
+  if (regions.empty()) {
+    regions.push_back(
+        {0, spec.geometry.rows_per_tile - 1, recipe.spare_rows, 0});
+  }
+  if (spec.retire.reliable_region >= regions.size()) {
+    throw spec_error("retire.reliable_region",
+                     "tile has only " + std::to_string(regions.size()) +
+                         " region(s)");
+  }
+  regions[spec.retire.reliable_region].spare_rows += spec.retire.spare_rows;
+  return regions;
+}
+
 std::vector<scheme_recipe> resolve_word_transform_schemes(
     const scenario_spec& spec, std::string_view workload_name) {
   std::vector<scheme_recipe> recipes = resolve_schemes(spec);

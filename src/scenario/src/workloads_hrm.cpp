@@ -5,6 +5,11 @@
 // faults, word-level corruption and the region's analytic MSE, next to
 // whole-store quality and any uniform baseline schemes the spec lists.
 //
+// Every store, tiered and baseline, is one store_words pass (the
+// at-risk tile pass of memory_pipeline.hpp); the per-region accounting
+// reads each tile's installed fault map, remaps and changed words from
+// the pass's visitor.
+//
 // Determinism: trials shard over the campaign pool on per-trial streams
 // (bit-identical at any thread count); `app=synthetic` stores a
 // seed-derived integer pattern so every reported count is integer-exact
@@ -203,15 +208,6 @@ class hrm_workload final : public workload {
   }
 
  private:
-  /// Region owning data row `row`, by the spec's ordered ranges.
-  static std::size_t region_of(const std::vector<memory_region>& regions,
-                               std::uint32_t row) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (row <= regions[r].last_row) return r;
-    }
-    return regions.size() - 1;
-  }
-
   trial_result run_trial(const scenario_spec& spec,
                          const scheme_recipe& tiered,
                          const std::vector<scheme_recipe>& baselines,
@@ -225,138 +221,113 @@ class hrm_workload final : public workload {
             ? region_fault_injector(points, spec.fault.polarity)
             : region_exact_fault_injector(tiered.regions, exact_faults_,
                                           spec.fault.polarity);
+    const auto evaluate = [&](const std::vector<word_t>& restored) {
+      return app == nullptr
+                 ? 0.0
+                 : app->evaluate(quantizer.from_words(
+                       restored, app->train_features().rows(),
+                       app->train_features().cols()));
+    };
 
     trial_result result;
     result.regions.resize(tiered.regions.size());
-    std::vector<word_t> restored(words.size());
-
-    std::size_t cursor = 0;
-    while (cursor < words.size()) {
-      const auto tile_words =
-          std::min<std::size_t>(rows, words.size() - cursor);
-      protected_memory memory(rows, tiered.factory(rows), tiered.regions);
-      fault_map faults = inject(memory.storage_geometry(), gen);
-
-      // Injected faults per region: data rows route by range, spare
-      // rows by the region-order pool layout.
-      for (const fault& f : faults.all_faults()) {
-        if (f.row < rows) {
-          result.regions[region_of(tiered.regions, f.row)].injected_faults++;
-          continue;
-        }
-        for (std::size_t r = tiered.regions.size(); r-- > 0;) {
-          if (f.row >= memory.region_spare_base(r)) {
-            result.regions[r].injected_faults++;
-            break;
-          }
-        }
-      }
-      memory.set_fault_map(std::move(faults));
-
-      const auto& remaps = memory.row_remaps();
-      for (const auto& [logical, spare] : remaps) {
-        (void)spare;
-        result.regions[region_of(tiered.regions, logical)].repaired_rows++;
-      }
-      // Residual = faults still visible through the remapped address
-      // space: faulty, unrepaired data rows — counting only columns the
-      // row's own tier stores (faults in a wider sibling's surplus
-      // columns are harmless and never reach the repair pass either).
-      // Spares only serve remapped rows, so only data rows count.
-      for_each_faulty_row(
-          memory.array().faults().faults_in_rows(0, rows),
-          [&](std::uint32_t row, std::span<const fault> row_faults) {
-            const auto it = std::lower_bound(
-                remaps.begin(), remaps.end(), row,
-                [](const auto& remap, std::uint32_t key) {
-                  return remap.first < key;
-                });
-            if (it != remaps.end() && it->first == row) return;
-            const std::size_t r = region_of(tiered.regions, row);
-            const unsigned region_bits =
-                tiered.regions[r].storage_bits == 0
-                    ? memory.scheme().storage_bits()
-                    : tiered.regions[r].storage_bits;
-            std::uint64_t visible = 0;
-            for (const fault& f : row_faults) {
-              if (f.col < region_bits) ++visible;
+    std::vector<word_t> restored = words;
+    storage_config storage = spec.storage();
+    storage.regions = tiered.regions;
+    const pipeline_stats stats = store_words(
+        words, storage, tiered.factory, inject, gen,
+        [&](std::size_t first_word, const protected_memory& tile,
+            std::span<const changed_word> changed) {
+          // Injected faults per region: data rows route by range, spare
+          // rows by the region-order pool layout.
+          for (const fault& f : tile.array().faults().all_faults()) {
+            if (f.row < rows) {
+              result.regions[tile.region_of(f.row)].injected_faults++;
+              continue;
             }
-            if (visible == 0) return;
-            result.regions[r].residual_rows++;
-            result.regions[r].residual_faults += visible;
-          });
+            for (std::size_t r = tiered.regions.size(); r-- > 0;) {
+              if (f.row >= tile.region_spare_base(r)) {
+                result.regions[r].injected_faults++;
+                break;
+              }
+            }
+          }
 
-      memory.write_block(0, std::span<const word_t>(words).subspan(cursor,
-                                                                   tile_words));
-      protected_memory::block_stats stats;
-      memory.read_block(
-          0, std::span<word_t>(restored).subspan(cursor, tile_words), &stats);
-      result.corrected_words += stats.corrected;
-      result.uncorrectable_words += stats.uncorrectable;
+          const auto& remaps = tile.row_remaps();
+          for (const auto& remap : remaps) {
+            result.regions[tile.region_of(remap.first)].repaired_rows++;
+          }
+          // Residual = faults still visible through the remapped address
+          // space: faulty, unrepaired data rows — counting only columns
+          // the row's own tier stores (faults in a wider sibling's
+          // surplus columns are harmless and never reach the repair pass
+          // either). Spares only serve remapped rows, so only data rows
+          // count.
+          for_each_faulty_row(
+              tile.array().faults().faults_in_rows(0, rows),
+              [&](std::uint32_t row, std::span<const fault> row_faults) {
+                const auto it = std::lower_bound(
+                    remaps.begin(), remaps.end(), row,
+                    [](const auto& remap, std::uint32_t key) {
+                      return remap.first < key;
+                    });
+                if (it != remaps.end() && it->first == row) return;
+                const std::size_t r = tile.region_of(row);
+                const unsigned region_bits =
+                    tiered.regions[r].storage_bits == 0
+                        ? tile.scheme().storage_bits()
+                        : tiered.regions[r].storage_bits;
+                std::uint64_t visible = 0;
+                for (const fault& f : row_faults) {
+                  if (f.col < region_bits) ++visible;
+                }
+                if (visible == 0) return;
+                result.regions[r].residual_rows++;
+                result.regions[r].residual_faults += visible;
+              });
 
-      for (std::size_t i = 0; i < tile_words; ++i) {
-        const word_t written = words[cursor + i];
-        const word_t read = restored[cursor + i];
-        if (written == read) continue;
-        region_counts& counts = result.regions[region_of(
-            tiered.regions, static_cast<std::uint32_t>(i))];
-        counts.word_errors++;
-        counts.error_lsb_sum += written > read ? written - read : read - written;
-      }
-      for (std::size_t r = 0; r < tiered.regions.size(); ++r) {
-        result.regions[r].analytic_mse_sum += memory.analytic_mse(
-            tiered.regions[r].first_row, tiered.regions[r].last_row);
-      }
-      ++result.tiles;
-      cursor += tile_words;
-    }
-
-    if (app != nullptr) {
-      result.metric = app->evaluate(quantizer.from_words(
-          restored, app->train_features().rows(), app->train_features().cols()));
-    }
+          for (const changed_word& word : changed) {
+            const word_t written = words[first_word + word.row];
+            region_counts& counts = result.regions[tile.region_of(word.row)];
+            counts.word_errors++;
+            counts.error_lsb_sum +=
+                written > word.read ? written - word.read : word.read - written;
+            restored[first_word + word.row] = word.read;
+          }
+          for (std::size_t r = 0; r < tiered.regions.size(); ++r) {
+            result.regions[r].analytic_mse_sum += tile.analytic_mse(
+                tiered.regions[r].first_row, tiered.regions[r].last_row);
+          }
+        });
+    result.corrected_words = stats.corrected_words;
+    result.uncorrectable_words = stats.uncorrectable_words;
+    result.tiles = stats.tiles;
+    result.metric = evaluate(restored);
 
     // Uniform baselines on the same trial stream, drawn after the
     // tiered store (sequential draws keep the trial deterministic).
     std::uint64_t exact_total = 0;
     for (const std::uint64_t n : exact_faults_) exact_total += n;
+    const fault_injector base_inject =
+        exact_faults_.empty()
+            ? binomial_fault_injector(baseline_pcell, spec.fault.polarity)
+            : exact_fault_injector(exact_total, spec.fault.polarity);
     for (const scheme_recipe& baseline : baselines) {
-      storage_config storage = spec.storage(baseline.spare_rows);
-      storage.regions = baseline.regions;
-      const matrix_quantizer& q = quantizer;
-      std::vector<word_t> base_restored(words.size());
-      std::size_t base_cursor = 0;
-      const fault_injector base_inject =
-          exact_faults_.empty()
-              ? binomial_fault_injector(baseline_pcell, spec.fault.polarity)
-              : exact_fault_injector(exact_total, spec.fault.polarity);
-      while (base_cursor < words.size()) {
-        const auto tile_words =
-            std::min<std::size_t>(rows, words.size() - base_cursor);
-        protected_memory memory =
-            storage.regions.empty()
-                ? protected_memory(rows, baseline.factory(rows),
-                                   storage.spare_rows_per_tile)
-                : protected_memory(rows, baseline.factory(rows),
-                                   storage.regions);
-        memory.set_fault_map(base_inject(memory.storage_geometry(), gen));
-        memory.write_block(0, std::span<const word_t>(words).subspan(
-                                  base_cursor, tile_words));
-        memory.read_block(0, std::span<word_t>(base_restored)
-                                 .subspan(base_cursor, tile_words));
-        base_cursor += tile_words;
-      }
+      storage_config base_storage = spec.storage(baseline.spare_rows);
+      base_storage.regions = baseline.regions;
+      std::vector<word_t> base_restored = words;
       std::uint64_t errors = 0;
-      for (std::size_t i = 0; i < words.size(); ++i) {
-        if (words[i] != base_restored[i]) ++errors;
-      }
+      store_words(
+          words, base_storage, baseline.factory, base_inject, gen,
+          [&](std::size_t first_word, const protected_memory& /*tile*/,
+              std::span<const changed_word> changed) {
+            errors += changed.size();
+            for (const changed_word& word : changed) {
+              base_restored[first_word + word.row] = word.read;
+            }
+          });
       result.baseline_word_errors.push_back(errors);
-      result.baseline_metrics.push_back(
-          app != nullptr
-              ? app->evaluate(q.from_words(base_restored,
-                                           app->train_features().rows(),
-                                           app->train_features().cols()))
-              : 0.0);
+      result.baseline_metrics.push_back(evaluate(base_restored));
     }
     return result;
   }

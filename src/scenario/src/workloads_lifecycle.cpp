@@ -106,33 +106,12 @@ class lifecycle_workload final : public workload {
   }
 
  private:
-  /// Region table a tile of `recipe` is manufactured with: the recipe's
-  /// own regions (tiered entries) or one homogeneous region, with the
-  /// spec's `retire.spare_rows` lifecycle pool added to the reliable
-  /// region (region 0 unless `retire.reliable_region` says otherwise).
-  std::vector<memory_region> tile_regions(const scenario_spec& spec,
-                                          const scheme_recipe& recipe,
-                                          std::uint32_t rows) const {
-    std::vector<memory_region> regions =
-        recipe.regions.empty()
-            ? std::vector<memory_region>{memory_region{0, rows - 1,
-                                                       recipe.spare_rows}}
-            : recipe.regions;
-    if (spec.retire.reliable_region >= regions.size()) {
-      throw spec_error("retire.reliable_region",
-                       "tile has only " + std::to_string(regions.size()) +
-                           " region(s)");
-    }
-    regions[spec.retire.reliable_region].spare_rows += spec.retire.spare_rows;
-    return regions;
-  }
-
   /// Fails fast (naming the workload option) when the configured
   /// arrivals would run the array out of healthy cells mid-run.
   void validate_budget(const scenario_spec& spec,
                        const scheme_recipe& recipe) const {
     const std::uint32_t rows = spec.geometry.rows_per_tile;
-    const auto regions = tile_regions(spec, recipe, rows);
+    const auto regions = lifecycle_tile_regions(spec, recipe);
     std::uint32_t spares = 0;
     for (const memory_region& region : regions) spares += region.spare_rows;
     const std::uint64_t cells =
@@ -152,7 +131,7 @@ class lifecycle_workload final : public workload {
                          const std::vector<word_t>& words, rng& gen) const {
     const std::uint32_t rows = spec.geometry.rows_per_tile;
     protected_memory memory(rows, recipe.factory(rows),
-                            tile_regions(spec, recipe, rows));
+                            lifecycle_tile_regions(spec, recipe));
 
     fault_map initial(memory.storage_geometry());
     if (initial_faults_ > 0) {

@@ -13,29 +13,6 @@
 
 namespace urmem {
 
-namespace {
-
-// Region table of one serving tile, mirroring the lifecycle workloads:
-// the recipe's own regions (or a single homogeneous one), with the
-// retire section's extra runtime pool added to the reliable region.
-std::vector<memory_region> tile_regions(const scenario_spec& spec,
-                                        const scheme_recipe& recipe,
-                                        std::uint32_t rows) {
-  std::vector<memory_region> regions = recipe.regions;
-  if (regions.empty()) {
-    regions.push_back(memory_region{0, rows - 1, recipe.spare_rows, 0});
-  }
-  if (spec.retire.reliable_region >= regions.size()) {
-    throw spec_error("retire.reliable_region",
-                     "tile has only " + std::to_string(regions.size()) +
-                         " region(s)");
-  }
-  regions[spec.retire.reliable_region].spare_rows += spec.retire.spare_rows;
-  return regions;
-}
-
-}  // namespace
-
 /// One hot tile: the protected memory, its lifecycle manager, the
 /// deferred scrub findings of the in-flight epoch, the cached residual
 /// count, and the traffic counters sharded by client slot.
@@ -146,7 +123,7 @@ memory_service::memory_service(const scenario_spec& spec) {
     const scheme_recipe& recipe = recipes[index];
     auto entry = std::make_unique<tile>(recipe.display_name, rows_,
                                         recipe.factory(rows_),
-                                        tile_regions(spec, recipe, rows_));
+                                        lifecycle_tile_regions(spec, recipe));
 
     // Per-tile fault stream: the manufactured map and the timeline seed
     // both derive from seeds.root through one named stream, so the

@@ -15,15 +15,21 @@
 // protected_memory::at_risk_rows) through write_block/read_block: every
 // other row reads back exactly what was written (the fault-free row
 // contract of protection_scheme.hpp) and counts as neither corrected
-// nor uncorrectable. The readback is the clean values with the changed
-// words patched in, bit-identical to dequantizing a whole-tile pass,
-// and it lists the matrix rows that changed so an application can
-// re-score only those (application::make_group_evaluator).
+// nor uncorrectable. store_words is that one tile pass over raw words:
+// after each tile it hands a visitor the tile (fault map, remaps,
+// regions) and the words that read back changed. hrm-quality's
+// per-region accounting runs in that visitor, and store_and_readback
+// (Fig. 7, psnr-image, ml-quality) wraps it for matrices: the
+// readback is the clean values with the changed words patched in,
+// bit-identical to dequantizing a whole-tile pass, and it lists the
+// matrix rows that changed so an application can re-score only those
+// (application::make_group_evaluator).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "urmem/common/rng.hpp"
@@ -64,6 +70,30 @@ struct pipeline_stats {
   std::uint64_t uncorrectable_words = 0;  ///< decoder flagged detected_uncorrectable
 };
 
+/// A tile word that read back different from the word written.
+struct changed_word {
+  std::uint32_t row = 0;  ///< tile row
+  word_t read = 0;        ///< the word read back
+};
+
+/// Called once per tile, in order, after its at-risk rows were read
+/// back: `first_word` indexes the tile's first word in the stored span,
+/// `tile` holds the installed (drawn) fault map and the repair's
+/// remaps, and `changed` lists the changed words in ascending row order.
+using tile_visitor =
+    std::function<void(std::size_t first_word, const protected_memory& tile,
+                       std::span<const changed_word> changed)>;
+
+/// Writes `words` through scheme-protected faulty tiles of
+/// `config.rows_per_tile` rows and reads them back. Each tile gets a
+/// fresh scheme from `factory` and a fault map from `inject` (drawn on
+/// `gen` in tile order); only its at-risk rows are written and read.
+pipeline_stats store_words(std::span<const word_t> words,
+                           const storage_config& config,
+                           const scheme_factory& factory,
+                           const fault_injector& inject, rng& gen,
+                           const tile_visitor& visit);
+
 /// The clean image of a matrix in one storage config: its row-major
 /// fixed-point words and their dequantized values, which is exactly
 /// what a fault-free store reads back.
@@ -83,9 +113,8 @@ struct readback {
   std::vector<std::size_t> changed_rows;
 };
 
-/// Writes `clean.words` through scheme-protected faulty tiles and reads
-/// them back. Each tile gets a fresh scheme from `factory` and a fault
-/// map from `inject`; only its at-risk rows are written and read.
+/// store_words over `clean.words`, patching the changed words into a
+/// copy of `clean.values`.
 [[nodiscard]] readback store_and_readback(const quantized_matrix& clean,
                                           const storage_config& config,
                                           const scheme_factory& factory,

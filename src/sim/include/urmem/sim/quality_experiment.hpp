@@ -51,8 +51,9 @@ struct quality_result {
     const std::string& scheme_name, const quality_experiment_config& config);
 
 /// Same sweep on an existing (shared) campaign runner; per-trial streams
-/// derive from `runner.seed()`. Lets one pool serve the whole Fig. 7
-/// scheme x application grid without re-spawning workers.
+/// derive from `runner.seed()`, which must equal `config.seed`
+/// (std::invalid_argument otherwise). Lets one pool serve the whole
+/// Fig. 7 scheme x application grid without re-spawning workers.
 [[nodiscard]] quality_result run_quality_experiment(
     const application& app, const scheme_factory& factory,
     const std::string& scheme_name, const quality_experiment_config& config,

@@ -17,22 +17,17 @@ quantized_matrix quantize(const matrix& input, const storage_config& config) {
   return {std::move(words), std::move(values)};
 }
 
-readback store_and_readback(const quantized_matrix& clean,
-                            const storage_config& config,
-                            const scheme_factory& factory,
-                            const fault_injector& inject, rng& gen,
-                            pipeline_stats* stats) {
+pipeline_stats store_words(std::span<const word_t> words,
+                           const storage_config& config,
+                           const scheme_factory& factory,
+                           const fault_injector& inject, rng& gen,
+                           const tile_visitor& visit) {
   expects(config.rows_per_tile >= 1, "tiles need at least one row");
   expects(config.regions.empty() || config.spare_rows_per_tile == 0,
           "a region table replaces spare_rows_per_tile");
-  const std::span<const word_t> words(clean.words);
-  expects(words.size() == clean.values.rows() * clean.values.cols(),
-          "clean words do not match the clean values");
-  const fixed_point_codec codec(config.word_bits, config.frac_bits);
-  readback out{clean.values, {}};
-  const std::span<double> values = out.values.data();
   std::vector<word_t> restored;
-  pipeline_stats local;
+  std::vector<changed_word> changed;
+  pipeline_stats stats;
   for (std::size_t base = 0; base < words.size();
        base += config.rows_per_tile) {
     const auto tile_words =
@@ -49,11 +44,12 @@ readback store_and_readback(const quantized_matrix& clean,
                                config.regions);
 
     fault_map faults = inject(memory.storage_geometry(), gen);
-    local.injected_faults += faults.fault_count();
+    stats.injected_faults += faults.fault_count();
     memory.set_fault_map(std::move(faults));
 
     // Stream each run of consecutive at-risk rows through the batched
-    // block-codec + fault-plane path, then patch the words that changed.
+    // block-codec + fault-plane path and collect the words that changed.
+    changed.clear();
     const std::vector<std::uint32_t> rows = memory.at_risk_rows();
     for (std::size_t i = 0; i < rows.size() && rows[i] < tile_words;) {
       std::size_t end = i + 1;
@@ -68,21 +64,44 @@ readback store_and_readback(const quantized_matrix& clean,
       restored.resize(written.size());
       protected_memory::block_stats block;
       memory.read_block(first, restored, &block);
-      local.corrected_words += block.corrected;
-      local.uncorrectable_words += block.uncorrectable;
+      stats.corrected_words += block.corrected;
+      stats.uncorrectable_words += block.uncorrectable;
       for (std::size_t k = 0; k < written.size(); ++k) {
         if (restored[k] == written[k]) continue;
-        const std::size_t word = base + first + k;
-        values[word] = codec.decode(restored[k]);
-        const std::size_t row = word / out.values.cols();
-        if (out.changed_rows.empty() || out.changed_rows.back() != row) {
-          out.changed_rows.push_back(row);
-        }
+        changed.push_back(
+            {static_cast<std::uint32_t>(first + k), restored[k]});
       }
       i = end;
     }
-    ++local.tiles;
+    visit(base, memory, changed);
+    ++stats.tiles;
   }
+  return stats;
+}
+
+readback store_and_readback(const quantized_matrix& clean,
+                            const storage_config& config,
+                            const scheme_factory& factory,
+                            const fault_injector& inject, rng& gen,
+                            pipeline_stats* stats) {
+  expects(clean.words.size() == clean.values.rows() * clean.values.cols(),
+          "clean words do not match the clean values");
+  const fixed_point_codec codec(config.word_bits, config.frac_bits);
+  readback out{clean.values, {}};
+  const std::span<double> values = out.values.data();
+  const pipeline_stats local = store_words(
+      clean.words, config, factory, inject, gen,
+      [&](std::size_t first_word, const protected_memory& /*tile*/,
+          std::span<const changed_word> changed) {
+        for (const changed_word& word : changed) {
+          const std::size_t index = first_word + word.row;
+          values[index] = codec.decode(word.read);
+          const std::size_t row = index / out.values.cols();
+          if (out.changed_rows.empty() || out.changed_rows.back() != row) {
+            out.changed_rows.push_back(row);
+          }
+        }
+      });
   if (stats != nullptr) *stats = local;
   return out;
 }

@@ -35,6 +35,9 @@ quality_result run_quality_experiment(const application& app,
                                       campaign_runner& runner) {
   expects(config.samples_per_count >= 1, "need at least one sample per count");
   expects(config.pcell > 0.0 && config.pcell < 1.0, "pcell must be in (0,1)");
+  expects(config.seed == runner.seed(),
+          "quality_experiment_config::seed must equal the campaign runner's "
+          "seed");
 
   // Fault-free baseline: the quantization round trip, which is exactly
   // what a fault-free store reads back. Every trial patches its changed

@@ -237,13 +237,10 @@ TEST(SramArrayTest, WidthMaskingOnWrite) {
   EXPECT_EQ(array.read(0), 0x12ULL);
 }
 
-TEST(SramArrayTest, FillAndAccessCounting) {
+TEST(SramArrayTest, FillWritesEveryRow) {
   sram_array array(array_geometry{8, 32});
   array.fill(0xABCD);
-  const std::uint64_t after_fill = array.access_count();
-  EXPECT_EQ(after_fill, 8u);
   for (std::uint32_t r = 0; r < 8; ++r) EXPECT_EQ(array.read(r), 0xABCDULL);
-  EXPECT_EQ(array.access_count(), after_fill + 8);
 }
 
 TEST(SramArrayTest, SetFaultsPreservesData) {

@@ -282,6 +282,16 @@ TEST(QualityExperimentTest, ProducesNormalizedCdf) {
   EXPECT_DOUBLE_EQ(result.cdf.cumulative().back(), 1.0);
 }
 
+TEST(QualityExperimentTest, RejectsARunnerWithAnotherSeed) {
+  // A config seed the runner does not carry would be silently ignored.
+  const auto app = make_knn_app();
+  campaign_runner runner({.threads = 1, .seed = 18});
+  EXPECT_THROW((void)run_quality_experiment(
+                   *app, [](std::uint32_t) { return make_scheme_none(); },
+                   "none", tiny_config(), runner),
+               std::invalid_argument);
+}
+
 TEST(QualityExperimentTest, ShuffleOutperformsNoCorrection) {
   // The Fig. 7 ordering: the unprotected memory's low-quality quantile
   // sits well below the bit-shuffled one (Elasticnet is the most

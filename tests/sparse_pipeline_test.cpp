@@ -6,7 +6,8 @@
 // contract of protection_scheme.hpp for every other row. This suite
 // checks that contract for every registered scheme recipe, then checks
 // that the sparse pass matches a whole-tile oracle bit for bit: the
-// restored values, pipeline_stats and the changed-row list.
+// restored values, pipeline_stats and the changed-row list, and the
+// raw words patched from store_words' per-tile changes.
 //
 // The pipeline picks the fault path process-wide, so ctest runs this
 // suite twice: as is, and with URMEM_FAULT_PATH=reference.
@@ -225,7 +226,42 @@ TEST(SparsePipeline, MatchesWholeTileOracleForEveryRecipe) {
                              injections[i].inject, sparse_gen, &stats);
       const dense_result dense = dense_store_and_readback(
           clean.words, config, recipe.factory, injections[i].inject, dense_gen);
-      EXPECT_EQ(sparse_gen(), dense_gen()) << "fault sampling drew differently";
+
+      // The raw-word pass under the wrapper: patching each tile's
+      // changed words into the written ones must give the dense
+      // readback, and the visitor must see every tile once, in order.
+      rng words_gen = make_stream_rng(23, i);
+      std::vector<word_t> patched = clean.words;
+      std::size_t visits = 0;
+      const pipeline_stats word_stats = store_words(
+          clean.words, config, recipe.factory, injections[i].inject, words_gen,
+          [&](std::size_t first_word, const protected_memory& /*tile*/,
+              std::span<const changed_word> changed) {
+            EXPECT_EQ(first_word, visits * rows_per_tile);
+            ++visits;
+            for (std::size_t k = 0; k < changed.size(); ++k) {
+              if (k > 0) {
+                EXPECT_LT(changed[k - 1].row, changed[k].row);
+              }
+              const std::size_t w = first_word + changed[k].row;
+              ASSERT_LT(w, patched.size());
+              EXPECT_NE(changed[k].read, clean.words[w]) << "word " << w;
+              patched[w] = changed[k].read;
+            }
+          });
+      EXPECT_EQ(visits, dense.stats.tiles);
+      EXPECT_EQ(word_stats.tiles, dense.stats.tiles);
+      EXPECT_EQ(word_stats.injected_faults, dense.stats.injected_faults);
+      EXPECT_EQ(word_stats.corrected_words, dense.stats.corrected_words);
+      EXPECT_EQ(word_stats.uncorrectable_words,
+                dense.stats.uncorrectable_words);
+      for (std::size_t w = 0; w < patched.size(); ++w) {
+        ASSERT_EQ(patched[w], dense.restored[w]) << "word " << w;
+      }
+
+      const std::uint64_t next_draw = dense_gen();
+      EXPECT_EQ(sparse_gen(), next_draw) << "fault sampling drew differently";
+      EXPECT_EQ(words_gen(), next_draw) << "fault sampling drew differently";
 
       const matrix expected =
           quantizer.from_words(dense.restored, input.rows(), input.cols());
