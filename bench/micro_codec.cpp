@@ -4,17 +4,18 @@
 //
 // Before timing anything the bench proves the compiled codec layer
 // correct (exits nonzero on any mismatch):
-//   1. hamming_secded LUT encode/decode == the per-bit reference walk
+//   1. the shared linear_code engine == each code's own per-bit
+//      reference walk, for hamming_secded, hsiao_code and bch_code
 //      (exhaustive data for narrow widths, randomized for wide; all
 //      single- and double-bit error patterns for decode);
 //   2. block encode/decode == the per-word reference pair, bit-identical
 //      in data AND decode statuses, for every scheme type (none,
 //      SECDED, Hsiao, BCH, P-ECC, bit-shuffling) across tile sizes
 //      including 1, a non-multiple-of-tile remainder, and the full array.
-// Then it times the W=32 SECDED tile paths and reports
+// Then it times the W=32 SECDED, Hsiao and BCH tile paths and reports
 // speedup_{encode,decode}_block_vs_scalar — block-codec tile loop vs
-// the pre-compilation per-word virtual reference path — which the CI
-// perf job gates at >= 3x. Emits BENCH_micro_codec.json (see README
+// the per-word virtual reference path — which the CI perf job gates at
+// >= 3x for each code. Emits BENCH_micro_codec.json (see README
 // "Bench telemetry").
 //
 // Flags:
@@ -53,8 +54,8 @@ std::vector<word_t> random_words(std::uint64_t seed, std::size_t count,
 
 // LUT-compiled codec == per-bit reference, over data words and
 // corrupted codewords (clean, every single flip, every double flip).
-// hamming_secded, hsiao_code and bch_code share this surface, so one
-// template verifies all three families.
+// hamming_secded, hsiao_code and bch_code share the linear_code engine
+// but not their oracles, so one template verifies all three families.
 template <class Code>
 bool verify_codec_lut(const char* label, const Code& code,
                       std::uint64_t wide_samples, std::uint64_t seed) {

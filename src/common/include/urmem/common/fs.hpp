@@ -2,13 +2,12 @@
 //
 // Campaign checkpoints are written by shards that may be killed at any
 // instant (and may share one directory over a network filesystem), so
-// the one write primitive offered here is atomic publication:
-// write_file_atomic streams the content to a process-unique sibling
-// temp file, syncs it and renames it over the target, so readers only
-// ever see either the previous complete file or the new complete file —
-// never a truncated one. Parent directories are created on demand (shared with
-// `urmem-run --out`, which historically failed bare when FILE's
-// directory was missing).
+// they are written by atomic publication: write_file_atomic streams the
+// content to a process-unique sibling temp file, syncs it and renames it
+// over the target, so readers only ever see either the previous complete
+// file or the new complete file — never a truncated one. write_file is
+// the plain in-place write the tools use for their --out reports. Both
+// create parent directories on demand.
 #pragma once
 
 #include <optional>
@@ -16,11 +15,6 @@
 #include <string_view>
 
 namespace urmem {
-
-/// Creates `path`'s parent directories (like `mkdir -p $(dirname p)`).
-/// No-op when the parent already exists or `path` has no directory
-/// component; throws std::runtime_error naming the directory otherwise.
-void ensure_parent_dirs(const std::string& path);
 
 /// Atomically replaces `path` with `content`: writes a process-unique
 /// sibling temp file, fsyncs it, renames it over `path` (POSIX rename is
@@ -30,6 +24,13 @@ void ensure_parent_dirs(const std::string& path);
 /// failure, a failed fsync included; the temp file is removed on every
 /// failure path before the rename.
 void write_file_atomic(const std::string& path, std::string_view content);
+
+/// Writes `content` to `path` in place (creating parent directories),
+/// for reports written to a path the user names, which may be a device
+/// such as /dev/stdout that a rename would replace. Throws
+/// std::runtime_error naming the path when the open, the write or the
+/// close fails, so a full disk never passes for a written report.
+void write_file(const std::string& path, std::string_view content);
 
 /// Whole-file read; nullopt when the file is missing or unreadable.
 [[nodiscard]] std::optional<std::string> read_file(const std::string& path);

@@ -12,6 +12,11 @@
 
 namespace urmem {
 
+namespace {
+
+/// Creates `path`'s parent directories (like `mkdir -p $(dirname p)`).
+/// No-op when the parent already exists or `path` has no directory
+/// component; throws std::runtime_error naming the directory otherwise.
 void ensure_parent_dirs(const std::string& path) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
@@ -23,8 +28,6 @@ void ensure_parent_dirs(const std::string& path) {
                              "': " + ec.message());
   }
 }
-
-namespace {
 
 /// Writes all of `content` to `fd`, retrying short writes and EINTR.
 bool write_all(int fd, std::string_view content) {
@@ -89,6 +92,23 @@ void write_file_atomic(const std::string& path, std::string_view content) {
                              "': " + std::generic_category().message(error));
   }
   ::close(dir);
+}
+
+void write_file(const std::string& path, std::string_view content) {
+  ensure_parent_dirs(path);
+  const auto fail = [&](const std::string& what, int error) {
+    throw std::runtime_error(what + " '" + path +
+                             "': " + std::generic_category().message(error));
+  };
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) fail("cannot write", errno);
+  if (!write_all(fd, content)) {
+    const int error = errno;
+    ::close(fd);
+    fail("short write to", error);
+  }
+  if (::close(fd) != 0) fail("cannot close", errno);
 }
 
 std::optional<std::string> read_file(const std::string& path) {

@@ -146,6 +146,8 @@ bch_code::bch_code(unsigned data_bits, unsigned t) {
           "no BCH code for this data width and t fits the 64-bit carrier "
           "(t=2 supports up to 51 data bits, t=3 up to 45)");
   design_ = *design;
+  data_bits_ = design_.data_bits;
+  codeword_bits_ = design_.codeword_bits;
 
   const gf_field field(design_.field_bits);
   generator_ = 1;
@@ -172,71 +174,12 @@ bch_code::bch_code(unsigned data_bits, unsigned t) {
   }
   column_syndromes_.push_back(parity_flag);
 
-  compile_tables();
-}
-
-void bch_code::compile_tables() {
-  // Encode tables: GF(2)-linear, so each byte slice needs only its 8
-  // single-bit codewords; the 256 entries XOR-combine down the chain.
-  encode_slices_ = (design_.data_bits + 7) / 8;
-  for (unsigned s = 0; s < encode_slices_; ++s) {
-    std::array<word_t, 8> single{};
-    for (unsigned b = 0; b < 8; ++b) {
-      const unsigned bit = 8 * s + b;
-      single[b] =
-          bit < design_.data_bits ? encode_reference(word_t{1} << bit) : 0;
-    }
-    encode_lut_[s][0] = 0;
-    for (unsigned v = 1; v < 256; ++v) {
-      const unsigned rest = v & (v - 1);
-      encode_lut_[s][v] = encode_lut_[s][rest] ^ single[log2_exact(v ^ rest)];
-    }
+  std::vector<word_t> units;
+  for (unsigned bit = 0; bit < data_bits_; ++bit) {
+    data_columns_.push_back(bit);  // identity layout
+    units.push_back(encode_reference(word_t{1} << bit));
   }
-
-  // Syndrome tables from the per-column contributions.
-  syndrome_slices_ = (design_.codeword_bits + 7) / 8;
-  for (unsigned s = 0; s < syndrome_slices_; ++s) {
-    std::array<std::uint32_t, 8> single{};
-    for (unsigned b = 0; b < 8; ++b) {
-      const unsigned column = 8 * s + b;
-      if (column >= design_.codeword_bits) continue;
-      single[b] = column_syndromes_[column];
-    }
-    syndrome_lut_[s][0] = 0;
-    for (unsigned v = 1; v < 256; ++v) {
-      const unsigned rest = v & (v - 1);
-      syndrome_lut_[s][v] = syndrome_lut_[s][rest] ^ single[log2_exact(v ^ rest)];
-    }
-  }
-
-  // Correction masks: enumerate every error pattern of weight 1..t and
-  // record its flip mask under its syndrome. The extended minimum
-  // distance >= 2t+2 makes these syndromes provably distinct (checked
-  // by the ensures) and keeps every (t+1)-bit syndrome at mask 0, so
-  // decode() reports those detected_uncorrectable instead of
-  // miscorrecting — the property the analytic residual model relies on.
-  correction_mask_.assign(std::size_t{1} << (design_.parity_bits + 1), 0);
-  const unsigned n = design_.codeword_bits;
-  const auto place = [&](std::uint32_t syndrome, word_t mask) {
-    ensures(syndrome != 0, "a nonzero error pattern cannot alias clean");
-    ensures(correction_mask_[syndrome] == 0,
-            "distinct <= t-bit error patterns must have distinct syndromes");
-    correction_mask_[syndrome] = mask;
-  };
-  const auto enumerate = [&](auto&& self, unsigned first, unsigned left,
-                             std::uint32_t syndrome, word_t mask) -> void {
-    if (left == 0) {
-      place(syndrome, mask);
-      return;
-    }
-    for (unsigned c = first; c + left <= n; ++c) {
-      self(self, c + 1, left - 1, syndrome ^ column_syndromes_[c],
-           mask | (word_t{1} << c));
-    }
-  };
-  for (unsigned weight = 1; weight <= design_.t; ++weight) {
-    enumerate(enumerate, 0, weight, 0, 0);
-  }
+  compile(design_.t, units);
 }
 
 word_t bch_code::encode_reference(word_t data) const {
@@ -285,16 +228,6 @@ ecc_decode_result bch_code::decode_reference(word_t stored) const {
     }
   }
   return {extract_data(stored), ecc_status::detected_uncorrectable};
-}
-
-unsigned bch_code::data_column(unsigned bit) const {
-  expects(bit < design_.data_bits, "data bit out of range");
-  return bit;
-}
-
-int bch_code::data_bit_at_column(unsigned column) const {
-  expects(column < design_.codeword_bits, "codeword column out of range");
-  return column < design_.data_bits ? static_cast<int>(column) : -1;
 }
 
 }  // namespace urmem

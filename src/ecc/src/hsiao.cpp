@@ -20,9 +20,9 @@ unsigned hsiao_code::min_check_bits(unsigned data_bits) {
   return k;
 }
 
-hsiao_code::hsiao_code(unsigned data_bits, unsigned check_bits)
-    : data_bits_(data_bits) {
+hsiao_code::hsiao_code(unsigned data_bits, unsigned check_bits) {
   expects(data_bits >= 1, "hsiao_code needs at least one data bit");
+  data_bits_ = data_bits;
   const unsigned min_k = min_check_bits(data_bits);
   check_bits_ = check_bits == 0 ? min_k : check_bits;
   expects(check_bits_ >= min_k,
@@ -85,52 +85,12 @@ hsiao_code::hsiao_code(unsigned data_bits, unsigned check_bits)
     }
   }
 
-  compile_tables();
-}
-
-void hsiao_code::compile_tables() {
-  // Encode tables: GF(2)-linear, so each byte slice needs only its 8
-  // single-bit codewords; the 256 entries XOR-combine down the chain.
-  encode_slices_ = (data_bits_ + 7) / 8;
-  for (unsigned s = 0; s < encode_slices_; ++s) {
-    std::array<word_t, 8> single{};
-    for (unsigned b = 0; b < 8; ++b) {
-      const unsigned bit = 8 * s + b;
-      single[b] = bit < data_bits_ ? encode_reference(word_t{1} << bit) : 0;
-    }
-    encode_lut_[s][0] = 0;
-    for (unsigned v = 1; v < 256; ++v) {
-      const unsigned rest = v & (v - 1);
-      encode_lut_[s][v] = encode_lut_[s][rest] ^ single[log2_exact(v ^ rest)];
-    }
+  std::vector<word_t> units;
+  for (unsigned bit = 0; bit < data_bits_; ++bit) {
+    data_columns_.push_back(bit);  // identity layout
+    units.push_back(encode_reference(word_t{1} << bit));
   }
-
-  // Syndrome tables: a stored bit at column c contributes its H column.
-  syndrome_slices_ = (codeword_bits_ + 7) / 8;
-  for (unsigned s = 0; s < syndrome_slices_; ++s) {
-    std::array<std::uint16_t, 8> single{};
-    for (unsigned b = 0; b < 8; ++b) {
-      const unsigned column = 8 * s + b;
-      if (column >= codeword_bits_) continue;
-      single[b] = static_cast<std::uint16_t>(column_syndromes_[column]);
-    }
-    syndrome_lut_[s][0] = 0;
-    for (unsigned v = 1; v < 256; ++v) {
-      const unsigned rest = v & (v - 1);
-      syndrome_lut_[s][v] = static_cast<std::uint16_t>(
-          syndrome_lut_[s][rest] ^ single[log2_exact(v ^ rest)]);
-    }
-  }
-
-  // Correction masks: a single-bit error at column c reproduces H's
-  // column c, and the columns are distinct, so the inverse map is exact.
-  // Every other syndrome keeps mask 0 -> detected_uncorrectable.
-  correction_mask_.assign(std::size_t{1} << check_bits_, 0);
-  for (unsigned column = 0; column < codeword_bits_; ++column) {
-    ensures(correction_mask_[column_syndromes_[column]] == 0,
-            "hsiao H-matrix columns must be distinct");
-    correction_mask_[column_syndromes_[column]] = word_t{1} << column;
-  }
+  compile(1, units);
 }
 
 word_t hsiao_code::encode_reference(word_t data) const {
@@ -157,16 +117,6 @@ ecc_decode_result hsiao_code::decode_reference(word_t stored) const {
     }
   }
   return {extract_data(stored), ecc_status::detected_uncorrectable};
-}
-
-unsigned hsiao_code::data_column(unsigned bit) const {
-  expects(bit < data_bits_, "data bit out of range");
-  return bit;
-}
-
-int hsiao_code::data_bit_at_column(unsigned column) const {
-  expects(column < codeword_bits_, "codeword column out of range");
-  return column < data_bits_ ? static_cast<int>(column) : -1;
 }
 
 }  // namespace urmem

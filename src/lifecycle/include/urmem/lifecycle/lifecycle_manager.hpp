@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "urmem/common/json.hpp"
 #include "urmem/lifecycle/fault_timeline.hpp"
 #include "urmem/lifecycle/scrubber.hpp"
 #include "urmem/scheme/protected_memory.hpp"
@@ -73,6 +74,10 @@ struct lifecycle_counters {
   std::uint64_t failstops = 0;  ///< 0 or 1 per run
 
   lifecycle_counters& operator+=(const lifecycle_counters& other);
+
+  /// The 14 counters as one JSON object, in declaration order: the form
+  /// both the lifecycle workload report and the serve counters print.
+  [[nodiscard]] json_value to_json() const;
 };
 
 /// Runs the lifecycle loop; see the header comment. Borrows `memory`

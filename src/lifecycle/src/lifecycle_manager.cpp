@@ -41,6 +41,25 @@ lifecycle_counters& lifecycle_counters::operator+=(
   return *this;
 }
 
+json_value lifecycle_counters::to_json() const {
+  json_value doc = json_value::make_object();
+  doc.set("epochs", epochs);
+  doc.set("injected_faults", injected_faults);
+  doc.set("scrub_passes", scrub_passes);
+  doc.set("rows_scrubbed", rows_scrubbed);
+  doc.set("corrected_rewrites", corrected_rewrites);
+  doc.set("ce_retirements", ce_retirements);
+  doc.set("ue_detected", ue_detected);
+  doc.set("read_retries", read_retries);
+  doc.set("retry_successes", retry_successes);
+  doc.set("ue_retirements", ue_retirements);
+  doc.set("pool_exhausted", pool_exhausted);
+  doc.set("cross_region_remaps", cross_region_remaps);
+  doc.set("marked_rows", marked_rows);
+  doc.set("failstops", failstops);
+  return doc;
+}
+
 lifecycle_manager::lifecycle_manager(protected_memory& memory,
                                      fault_timeline timeline,
                                      scrub_config scrub, retire_config retire)

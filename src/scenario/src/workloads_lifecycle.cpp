@@ -209,20 +209,10 @@ class lifecycle_workload final : public workload {
                      std::to_string(t.word_errors)});
       json_value entry = json_value::make_object();
       entry.set("name", recipes[s].display_name);
-      entry.set("epochs", t.life.epochs);
-      entry.set("injected_faults", t.life.injected_faults);
-      entry.set("scrub_passes", t.life.scrub_passes);
-      entry.set("rows_scrubbed", t.life.rows_scrubbed);
-      entry.set("corrected_rewrites", t.life.corrected_rewrites);
-      entry.set("ce_retirements", t.life.ce_retirements);
-      entry.set("ue_detected", t.life.ue_detected);
-      entry.set("read_retries", t.life.read_retries);
-      entry.set("retry_successes", t.life.retry_successes);
-      entry.set("ue_retirements", t.life.ue_retirements);
-      entry.set("pool_exhausted", t.life.pool_exhausted);
-      entry.set("cross_region_remaps", t.life.cross_region_remaps);
-      entry.set("marked_rows", t.life.marked_rows);
-      entry.set("failstops", t.life.failstops);
+      json_value life = t.life.to_json();
+      for (auto& [key, value] : life.as_object()) {
+        entry.set(key, std::move(value));
+      }
       entry.set("spares_left", t.spares_left);
       entry.set("corrected_words", t.corrected_words);
       entry.set("uncorrectable_words", t.uncorrectable_words);

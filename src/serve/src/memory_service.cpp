@@ -323,22 +323,7 @@ json_value service_snapshot::to_json() const {
     traffic_json.set("degraded_rows_seen", entry.traffic.degraded_rows_seen);
     tile_json.set("traffic", std::move(traffic_json));
 
-    json_value life_json = json_value::make_object();
-    life_json.set("epochs", entry.life.epochs);
-    life_json.set("injected_faults", entry.life.injected_faults);
-    life_json.set("scrub_passes", entry.life.scrub_passes);
-    life_json.set("rows_scrubbed", entry.life.rows_scrubbed);
-    life_json.set("corrected_rewrites", entry.life.corrected_rewrites);
-    life_json.set("ce_retirements", entry.life.ce_retirements);
-    life_json.set("ue_detected", entry.life.ue_detected);
-    life_json.set("read_retries", entry.life.read_retries);
-    life_json.set("retry_successes", entry.life.retry_successes);
-    life_json.set("ue_retirements", entry.life.ue_retirements);
-    life_json.set("pool_exhausted", entry.life.pool_exhausted);
-    life_json.set("cross_region_remaps", entry.life.cross_region_remaps);
-    life_json.set("marked_rows", entry.life.marked_rows);
-    life_json.set("failstops", entry.life.failstops);
-    tile_json.set("lifecycle", std::move(life_json));
+    tile_json.set("lifecycle", entry.life.to_json());
 
     tile_json.set("spares_left", entry.spares_left);
     tile_json.set("failed", entry.failed);

@@ -15,6 +15,21 @@
 namespace urmem {
 namespace {
 
+/// Stored words a compiled-vs-reference decode test checks: all 2^n of
+/// them when the codeword has <= 16 bits, else `wide` random samples.
+template <class Code>
+std::uint64_t garbage_samples(const Code& code, std::uint64_t wide) {
+  return code.codeword_bits() <= 16 ? std::uint64_t{1} << code.codeword_bits()
+                                    : wide;
+}
+
+/// The i-th stored word of that sweep.
+template <class Code>
+word_t garbage_word(const Code& code, std::uint64_t i, rng& gen) {
+  return code.codeword_bits() <= 16 ? i
+                                    : gen() & word_mask(code.codeword_bits());
+}
+
 TEST(HammingTest, PaperCodeParameters) {
   // "For a 32-bit data word, c = 7 parity bits are needed for SECDED
   // ECC, in what is known as an H(39,32) code."
@@ -142,9 +157,10 @@ TEST_P(SecdedLutVsReference, DecodeMatchesReferenceOnAllErrorPatterns) {
 
 TEST_P(SecdedLutVsReference, DecodeMatchesReferenceOnGarbageWords) {
   const hamming_secded code(GetParam());
+  const std::uint64_t samples = garbage_samples(code, 5000);
   rng gen(GetParam() * 17 + 3);
-  for (int i = 0; i < 5000; ++i) {
-    const word_t garbage = gen() & word_mask(code.codeword_bits());
+  for (std::uint64_t i = 0; i < samples; ++i) {
+    const word_t garbage = garbage_word(code, i, gen);
     const ecc_decode_result fast = code.decode(garbage);
     const ecc_decode_result ref = code.decode_reference(garbage);
     ASSERT_EQ(fast.data, ref.data) << "word=" << garbage;
@@ -335,14 +351,15 @@ TEST_P(HsiaoWidths, SinglesCorrectedDoublesDetected) {
 
 TEST_P(HsiaoWidths, CompiledMatchesReferenceOnGarbage) {
   const hsiao_code code(GetParam());
+  const std::uint64_t samples = garbage_samples(code, 300);
   rng gen(GetParam() * 29);
-  for (int i = 0; i < 300; ++i) {
-    const word_t garbage = gen() & word_mask(code.codeword_bits());
+  for (std::uint64_t i = 0; i < samples; ++i) {
+    const word_t garbage = garbage_word(code, i, gen);
     const ecc_decode_result fast = code.decode(garbage);
     const ecc_decode_result reference = code.decode_reference(garbage);
-    EXPECT_EQ(fast.data, reference.data) << garbage;
-    EXPECT_EQ(fast.status, reference.status) << garbage;
-    EXPECT_EQ(code.encode(garbage & word_mask(code.data_bits())),
+    ASSERT_EQ(fast.data, reference.data) << garbage;
+    ASSERT_EQ(fast.status, reference.status) << garbage;
+    ASSERT_EQ(code.encode(garbage & word_mask(code.data_bits())),
               code.encode_reference(garbage & word_mask(code.data_bits())));
   }
 }
@@ -409,20 +426,23 @@ TEST_P(BchWidths, DoublesCorrectedTriplesDetectedAtT2) {
 }
 
 TEST_P(BchWidths, CompiledMatchesReferenceOnGarbage) {
-  const bch_code code(GetParam(), 2);
-  rng gen(GetParam() * 43);
-  for (int i = 0; i < 100; ++i) {
-    const word_t garbage = gen() & word_mask(code.codeword_bits());
-    const ecc_decode_result fast = code.decode(garbage);
-    const ecc_decode_result reference = code.decode_reference(garbage);
-    EXPECT_EQ(fast.data, reference.data) << garbage;
-    EXPECT_EQ(fast.status, reference.status) << garbage;
-    EXPECT_EQ(code.encode(garbage & word_mask(code.data_bits())),
-              code.encode_reference(garbage & word_mask(code.data_bits())));
+  for (const unsigned t : {2u, 3u}) {
+    const bch_code code(GetParam(), t);
+    const std::uint64_t samples = garbage_samples(code, 100);
+    rng gen(GetParam() * 43 + (t - 2));  // t=2 keeps its old samples
+    for (std::uint64_t i = 0; i < samples; ++i) {
+      const word_t garbage = garbage_word(code, i, gen);
+      const ecc_decode_result fast = code.decode(garbage);
+      const ecc_decode_result reference = code.decode_reference(garbage);
+      ASSERT_EQ(fast.data, reference.data) << "t=" << t << " " << garbage;
+      ASSERT_EQ(fast.status, reference.status) << "t=" << t << " " << garbage;
+      ASSERT_EQ(code.encode(garbage & word_mask(code.data_bits())),
+                code.encode_reference(garbage & word_mask(code.data_bits())));
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(CodeSizes, BchWidths, ::testing::Values(8u, 16u));
+INSTANTIATE_TEST_SUITE_P(CodeSizes, BchWidths, ::testing::Values(4u, 8u, 16u));
 
 TEST(BchTest, TriplesCorrectedQuadsDetectedAtT3) {
   const bch_code code(8, 3);

@@ -430,6 +430,21 @@ TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
   EXPECT_FALSE(read_file(dir + "/nope.json").has_value());
 }
 
+TEST(FsHelpers, WriteFileCreatesParentDirsTruncatesAndFailsLoudly) {
+  const std::string dir = scratch_dir("fs_plain");
+  const std::string path = dir + "/a/b/report.json";
+  write_file(path, "payload");
+  EXPECT_EQ(*read_file(path), "payload");
+  write_file(path, "short");  // must not keep the old tail
+  EXPECT_EQ(*read_file(path), "short");
+  // A directory cannot be opened for writing.
+  EXPECT_THROW(write_file(dir + "/a", "x"), std::runtime_error);
+  // /dev/full opens fine and fails the write itself.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_THROW(write_file("/dev/full", "x"), std::runtime_error);
+  }
+}
+
 TEST(SpecHash, IsStableAndSensitive) {
   const scenario_spec spec = grid_spec();
   EXPECT_EQ(spec.canonical_hash(), grid_spec().canonical_hash());

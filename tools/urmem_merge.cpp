@@ -13,8 +13,8 @@
 //   urmem-merge [--out=FILE] DIR [DIR...]
 //
 // Exit codes: 0 success, 2 usage/validation error (missing points,
-// conflicting or stale checkpoints), 1 unexpected runtime error.
-#include <fstream>
+// conflicting or stale checkpoints), 1 runtime error, a report that
+// cannot be written included.
 #include <iostream>
 #include <optional>
 #include <string>
@@ -72,14 +72,7 @@ int main(int argc, char** argv) {
     if (out_path.empty()) {
       std::cout << text;
     } else {
-      ensure_parent_dirs(out_path);
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "urmem-merge: cannot write report to '" << out_path
-                  << "'\n";
-        return 2;
-      }
-      out << text;
+      write_file(out_path, text);
       std::cerr << "report: " << out_path << "\n";
     }
     return 0;

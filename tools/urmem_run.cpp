@@ -33,7 +33,7 @@
 // folds the per-point files back into the exact unsharded report.
 //
 // Exit codes: 0 success, 2 spec/flag validation error (before any work
-// spawns), 1 unexpected runtime error.
+// spawns), 1 runtime error, a report that cannot be written included.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -193,13 +193,7 @@ int main(int argc, char** argv) {
     }
 
     if (!out_path.empty()) {
-      ensure_parent_dirs(out_path);
-      std::ofstream out(out_path);
-      if (!out) {
-        std::cerr << "urmem-run: cannot write report to '" << out_path << "'\n";
-        return 2;
-      }
-      out << report.to_json().dump() << "\n";
+      write_file(out_path, report.to_json().dump() + "\n");
       std::cerr << "report: " << out_path << "\n";
     }
     return 0;

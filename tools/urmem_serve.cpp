@@ -59,13 +59,7 @@ constexpr std::string_view usage =
 
 void write_json(const std::string& path, const urmem::json_value& doc,
                 const char* label) {
-  urmem::ensure_parent_dirs(path);
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error(std::string("cannot write ") + label + " to '" +
-                             path + "'");
-  }
-  out << doc.dump() << "\n";
+  urmem::write_file(path, doc.dump() + "\n");
   std::cerr << label << ": " << path << "\n";
 }
 
