@@ -67,8 +67,13 @@ void write_timeline_faults(std::ostream& out, const timeline_fault_set& set);
 /// junk or out-of-range cells.
 [[nodiscard]] timeline_fault_set read_timeline_faults(std::istream& in);
 
-/// Convenience file wrappers.
+/// Writes `map` to `path` in the v1 format through write_file, which
+/// creates parent directories and throws std::runtime_error naming the
+/// path when the open, the write or the close fails (a full disk too).
 void save_fault_map(const std::string& path, const fault_map& map);
+
+/// Reads a v1 file with read_fault_map. Throws std::invalid_argument
+/// when the file cannot be opened or is malformed.
 [[nodiscard]] fault_map load_fault_map(const std::string& path);
 
 /// Human-readable kind name used by the format (e.g. "sa0").

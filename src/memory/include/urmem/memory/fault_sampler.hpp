@@ -7,11 +7,14 @@
 //  * maps whose count is drawn from Binomial(M, Pcell).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "urmem/common/binomial.hpp"
+#include "urmem/common/contracts.hpp"
 #include "urmem/common/rng.hpp"
 #include "urmem/memory/fault_map.hpp"
 
@@ -37,7 +40,50 @@ enum class fault_polarity : std::uint8_t {
 /// timeline's per-epoch arrivals).
 [[nodiscard]] fault_kind sample_fault_kind(rng& gen, fault_polarity polarity);
 
-/// Draws a map with exactly `n` faults at distinct uniform cell positions.
+namespace detail {
+/// This thread's linear-probing table of the cells a Floyd draw has
+/// chosen (draw_distinct_cells' scratch).
+[[nodiscard]] std::vector<std::uint64_t>& floyd_slots();
+}  // namespace detail
+
+/// Robert Floyd's algorithm: calls visit(cell) for `n` distinct cells
+/// drawn uniformly from [0, cells), one uniform_below per cell, in draw
+/// order. The one exact-n draw: sample_fault_map_exact turns each cell
+/// into a fault and the Fig. 5 sweep (compute_mse_cdf) scores the cells
+/// directly. `visit` may draw from `gen` too (a fault kind); those draws
+/// interleave with Floyd's. The chosen cells live in a thread-local
+/// linear-probing table sized to this draw (no per-insert allocation;
+/// resetting it costs O(n) whatever an earlier draw needed), so
+/// concurrent trials, each with its own rng, are safe.
+template <class Visit>
+void draw_distinct_cells(std::uint64_t cells, std::uint64_t n, rng& gen,
+                         Visit&& visit) {
+  expects(n <= cells, "cannot place more faults than cells");
+  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // never a cell index
+  std::vector<std::uint64_t>& slots = detail::floyd_slots();
+  slots.assign(std::bit_ceil(static_cast<std::size_t>(2 * n + 1)), kEmpty);
+  const std::size_t mask = slots.size() - 1;
+  const auto insert = [&](std::uint64_t cell) {  // false if already chosen
+    for (std::size_t i = splitmix64(cell) & mask;; i = (i + 1) & mask) {
+      if (slots[i] == cell) return false;
+      if (slots[i] == kEmpty) {
+        slots[i] = cell;
+        return true;
+      }
+    }
+  };
+  for (std::uint64_t j = cells - n; j < cells; ++j) {
+    std::uint64_t pick = gen.uniform_below(j + 1);
+    if (!insert(pick)) {
+      pick = j;  // above every earlier pick, so always fresh
+      insert(pick);
+    }
+    visit(pick);
+  }
+}
+
+/// Draws a map with exactly `n` faults at distinct uniform cell positions
+/// (draw_distinct_cells, each cell's kind drawn right after it).
 /// `n` must not exceed the number of cells.
 [[nodiscard]] fault_map sample_fault_map_exact(const array_geometry& geometry,
                                                std::uint64_t n, rng& gen,

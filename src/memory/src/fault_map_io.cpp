@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "urmem/common/contracts.hpp"
+#include "urmem/common/fs.hpp"
 
 namespace urmem {
 
@@ -116,10 +117,9 @@ timeline_fault_set read_timeline_faults(std::istream& in) {
 }
 
 void save_fault_map(const std::string& path, const fault_map& map) {
-  std::ofstream out(path);
-  expects(out.good(), "cannot open for writing: " + path);
-  write_fault_map(out, map);
-  expects(out.good(), "write failed: " + path);
+  std::ostringstream text;
+  write_fault_map(text, map);
+  write_file(path, text.str());
 }
 
 fault_map load_fault_map(const std::string& path) {

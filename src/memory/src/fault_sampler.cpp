@@ -1,9 +1,7 @@
 #include "urmem/memory/fault_sampler.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <vector>
-
-#include "urmem/common/contracts.hpp"
 
 namespace urmem {
 
@@ -28,45 +26,24 @@ fault_kind draw_kind(rng& gen, fault_polarity polarity) {
 
 }  // namespace
 
+std::vector<std::uint64_t>& detail::floyd_slots() {
+  thread_local std::vector<std::uint64_t> slots;
+  return slots;
+}
+
 fault_kind sample_fault_kind(rng& gen, fault_polarity polarity) {
   return draw_kind(gen, polarity);
 }
 
 fault_map sample_fault_map_exact(const array_geometry& geometry, std::uint64_t n,
                                  rng& gen, fault_polarity polarity) {
-  const std::uint64_t cells = geometry.cells();
-  expects(n <= cells, "cannot place more faults than cells");
-
-  // Robert Floyd's algorithm: n distinct values from [0, cells) in O(n).
-  // This runs once per Monte-Carlo trial, so the chosen cells live in
-  // thread-local scratch: a linear-probing table sized to this draw (no
-  // per-insert allocation; resetting it costs O(n) whatever an earlier
-  // draw needed). Concurrent trials each bring their own rng.
-  constexpr std::uint64_t kEmpty = ~std::uint64_t{0};  // never a cell index
-  thread_local std::vector<std::uint64_t> slots;
-  slots.assign(std::bit_ceil(static_cast<std::size_t>(2 * n + 1)), kEmpty);
-  const std::size_t mask = slots.size() - 1;
-  const auto insert = [&](std::uint64_t cell) {  // false if already chosen
-    for (std::size_t i = splitmix64(cell) & mask;; i = (i + 1) & mask) {
-      if (slots[i] == cell) return false;
-      if (slots[i] == kEmpty) {
-        slots[i] = cell;
-        return true;
-      }
-    }
-  };
-  std::vector<fault> faults;
-  faults.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t j = cells - n; j < cells; ++j) {
-    std::uint64_t pick = gen.uniform_below(j + 1);
-    if (!insert(pick)) {
-      pick = j;  // above every earlier pick, so always fresh
-      insert(pick);
-    }
-    const auto row = static_cast<std::uint32_t>(pick / geometry.width);
-    const auto col = static_cast<std::uint32_t>(pick % geometry.width);
+  std::vector<fault> faults;  // n > cells throws in the draw, not here
+  faults.reserve(static_cast<std::size_t>(std::min(n, geometry.cells())));
+  draw_distinct_cells(geometry.cells(), n, gen, [&](std::uint64_t cell) {
+    const auto row = static_cast<std::uint32_t>(cell / geometry.width);
+    const auto col = static_cast<std::uint32_t>(cell % geometry.width);
     faults.push_back(fault{row, col, draw_kind(gen, polarity)});
-  }
+  });
   return fault_map(geometry, std::move(faults));
 }
 

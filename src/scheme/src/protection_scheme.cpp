@@ -58,8 +58,9 @@ read_result protection_scheme::decode(std::uint32_t row, word_t stored) const {
 
 double protection_scheme::worst_case_row_cost(
     std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
-  // Thread-local scratch: the yield sweeps call this once per faulty row
-  // of millions of sampled maps, from every campaign worker at once.
+  // Thread-local scratch: the yield sweep calls this for every
+  // multi-fault row of millions of sampled trials, from every campaign
+  // worker at once.
   static thread_local std::vector<std::uint32_t> bits;
   bits.clear();
   residual_fault_bits(row, fault_cols, bits);

@@ -18,6 +18,14 @@
 
 namespace urmem {
 
+/// Row cost of one fault at each storage column c,
+/// worst_case_row_cost(0, {c}) for c in [0, storage_bits()). Row 0
+/// stands for every row, which holds for homogeneous schemes only (a
+/// tiered_scheme charges each row at its own tier). The single-fault
+/// table of both the distribution below and the Fig. 5 sweep.
+[[nodiscard]] std::vector<double> single_fault_costs(
+    const protection_scheme& scheme);
+
 /// Exact distribution of the row cost of one uniform fault: sorted
 /// (cost, probability) pairs with duplicate costs merged.
 [[nodiscard]] std::vector<std::pair<double, double>> single_fault_cost_distribution(

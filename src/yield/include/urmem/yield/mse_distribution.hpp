@@ -16,13 +16,23 @@
 //
 // compute_mse_cdf realizes Eq. (5) as a stratified Monte-Carlo sweep:
 // for every failure count n it draws Pr(N = n) * total_runs random fault
-// maps (the paper's Fig. 5 uses total_runs = 1e7 and n = 1..150),
+// placements (the paper's Fig. 5 uses total_runs = 1e7 and n = 1..150),
 // evaluates Eq. (6) through the scheme's worst_case_row_cost, and
 // weights each stratum by its binomial probability. The resulting
 // weighted CDF *is* the yield as a function of the tolerated MSE. The
-// sweep is a campaign on a campaign_runner: trial i draws its fault
-// map on its own stream, make_stream_rng(seed, i), so the CDF is
-// bit-identical at any thread count.
+// sweep is a campaign on a campaign_runner: trial i draws its faults on
+// its own stream, make_stream_rng(seed, i), so the CDF is bit-identical
+// at any thread count.
+//
+// Almost every faulty row holds one fault, and on a homogeneous scheme
+// that fault's cost depends only on its column. So a trial builds no
+// fault_map: it sorts the cells of its Floyd draw, charges a
+// single-fault row from a per-column table (single_fault_costs, built
+// once per sweep) and calls worst_case_row_cost only for rows with two
+// or more faults. sample_mse, which builds the fault_map and evaluates
+// analytic_mse on it, is the oracle this kernel equals bit for bit;
+// tiered schemes, whose cost depends on the row, and the reference fault
+// path (URMEM_FAULT_PATH=reference) score every trial through it.
 #pragma once
 
 #include <cstdint>
@@ -59,17 +69,20 @@ struct mse_stratum {
     const array_geometry& geometry, double pcell, const mse_cdf_config& config);
 
 /// Draws one exactly-`n`-fault map over `geometry`
-/// (sample_fault_map_exact) and evaluates Eq. (6) on it (analytic_mse) —
-/// the per-trial kernel of compute_mse_cdf. Scratch buffers are
-/// thread-local, so concurrent calls (one rng per caller) are safe: this
-/// is the trial body the parallel campaign engine runs.
+/// (sample_fault_map_exact) and evaluates Eq. (6) on it (analytic_mse):
+/// the oracle of one compute_mse_cdf trial. The sweep's table kernel
+/// consumes the same stream and returns the same double; it runs this
+/// itself for tiered schemes and on the reference fault path. Scratch
+/// buffers are thread-local, so concurrent calls (one rng per caller)
+/// are safe.
 [[nodiscard]] double sample_mse(const protection_scheme& scheme,
                                 const array_geometry& geometry,
                                 std::uint64_t n, rng& gen);
 
 /// Stratified Monte-Carlo CDF of the analytic MSE of `scheme` on a
 /// memory with `rows` words and cell failure probability `pcell`.
-/// Fault positions are uniform over the scheme's storage columns. Trial
+/// Fault positions are uniform over the scheme's storage columns, of
+/// which there must be 1..64 (a fault map's width). Trial
 /// i belongs to the stratum covering i in the flattened per-stratum
 /// allocation (the Pr(N = 0) mass, when included, is an n = 0 stratum
 /// of one trial at MSE 0) and runs on `runner`, whose seed must equal

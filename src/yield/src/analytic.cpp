@@ -12,17 +12,24 @@
 
 namespace urmem {
 
+std::vector<double> single_fault_costs(const protection_scheme& scheme) {
+  std::vector<double> costs;
+  costs.reserve(scheme.storage_bits());
+  for (std::uint32_t col = 0; col < scheme.storage_bits(); ++col) {
+    const std::uint32_t cols[] = {col};
+    costs.push_back(scheme.worst_case_row_cost(0, cols));
+  }
+  return costs;
+}
+
 std::vector<std::pair<double, double>> single_fault_cost_distribution(
     const protection_scheme& scheme) {
-  const unsigned columns = scheme.storage_bits();
-  const double p = 1.0 / static_cast<double>(columns);
+  // The convolution assumes a homogeneous scheme (fig5-mse rejects
+  // tiered schemes before getting here).
+  const std::vector<double> costs = single_fault_costs(scheme);
+  const double p = 1.0 / static_cast<double>(costs.size());
   std::map<double, double> merged;
-  for (unsigned col = 0; col < columns; ++col) {
-    const std::uint32_t cols[] = {col};
-    // Row 0 stands for every row: the convolution assumes a homogeneous
-    // scheme (fig5-mse rejects tiered schemes before getting here).
-    merged[scheme.worst_case_row_cost(0, cols)] += p;
-  }
+  for (const double cost : costs) merged[cost] += p;
   return {merged.begin(), merged.end()};
 }
 

@@ -3,13 +3,59 @@
 #include <algorithm>
 #include <cmath>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "urmem/common/binomial.hpp"
+#include "urmem/common/bitops.hpp"
 #include "urmem/common/contracts.hpp"
 #include "urmem/memory/fault_sampler.hpp"
+#include "urmem/memory/sram_array.hpp"
+#include "urmem/scheme/tiered_scheme.hpp"
+#include "urmem/yield/analytic.hpp"
 
 namespace urmem {
+
+namespace {
+
+/// sample_mse without a fault_map: the same Floyd draw on the same
+/// stream, its cells sorted into (row, col) order and walked row by row.
+/// A row with one fault costs single_cost[col], a row with more
+/// worst_case_row_cost(row, cols). These are the doubles analytic_mse
+/// sums, in its row order, so the result equals sample_mse bit for bit
+/// whenever a single fault's cost does not depend on its row.
+double table_mse(const protection_scheme& scheme,
+                 std::span<const double> single_cost,
+                 const array_geometry& geometry, std::uint64_t n, rng& gen) {
+  // Thread-local scratch: this runs once per campaign trial.
+  thread_local std::vector<std::uint64_t> cells;
+  thread_local std::vector<std::uint32_t> cols;
+  cells.clear();
+  draw_distinct_cells(geometry.cells(), n, gen,
+                      [](std::uint64_t cell) { cells.push_back(cell); });
+  std::sort(cells.begin(), cells.end());  // cell order is (row, col) order
+  const std::uint64_t width = geometry.width;
+  double total = 0.0;
+  for (std::size_t first = 0; first < cells.size();) {
+    const std::uint64_t row = cells[first] / width;
+    const std::uint64_t next_row_cell = (row + 1) * width;
+    std::size_t end = first + 1;
+    while (end < cells.size() && cells[end] < next_row_cell) ++end;
+    if (end == first + 1) {
+      total += single_cost[static_cast<std::size_t>(cells[first] % width)];
+    } else {
+      cols.clear();
+      for (std::size_t i = first; i < end; ++i) {
+        cols.push_back(static_cast<std::uint32_t>(cells[i] % width));
+      }
+      total += scheme.worst_case_row_cost(static_cast<std::uint32_t>(row), cols);
+    }
+    first = end;
+  }
+  return total / static_cast<double>(geometry.rows);
+}
+
+}  // namespace
 
 std::vector<mse_stratum> mse_strata(const array_geometry& geometry,
                                     double pcell,
@@ -43,6 +89,8 @@ empirical_cdf compute_mse_cdf(campaign_runner& runner,
   expects(rows >= 1, "memory needs at least one row");
   expects(config.seed == runner.seed(),
           "mse_cdf_config::seed must equal the campaign runner's seed");
+  expects(is_valid_width(scheme.storage_bits()),
+          "fault maps hold 1..64 storage columns");
 
   const array_geometry geometry{rows, scheme.storage_bits()};
   std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
@@ -62,12 +110,22 @@ empirical_cdf compute_mse_cdf(campaign_runner& runner,
     trials += s.count;
   }
 
+  // A tiered scheme charges a single fault at its row's tier, so no
+  // per-column table holds its costs; it and the reference fault path
+  // score every trial through the sample_mse oracle.
+  const bool oracle = dynamic_cast<const tiered_scheme*>(&scheme) != nullptr ||
+                      sram_array::default_fault_path() == fault_path::reference;
+  const std::vector<double> single_cost =
+      oracle ? std::vector<double>{} : single_fault_costs(scheme);
+
   return runner.map_weighted(
       trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
         const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
         const mse_stratum& s = strata[static_cast<std::size_t>(
             std::distance(starts.begin(), it) - 1)];
-        return {sample_mse(scheme, geometry, s.n, gen), s.weight_each};
+        return {oracle ? sample_mse(scheme, geometry, s.n, gen)
+                       : table_mse(scheme, single_cost, geometry, s.n, gen),
+                s.weight_each};
       });
 }
 

@@ -2,7 +2,9 @@
 // reload) and the system-level energy model.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/hwmodel/system_energy.hpp"
@@ -117,6 +119,14 @@ TEST(FaultMapIoTest, FileRoundTrip) {
   EXPECT_EQ(loaded.fault_count(), original.fault_count());
   EXPECT_THROW((void)load_fault_map("/nonexistent/map.txt"),
                std::invalid_argument);
+}
+
+TEST(FaultMapIoTest, SaveToFullDeviceThrows) {
+  // /dev/full opens fine and fails the write itself.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  rng gen(3);
+  const fault_map map = sample_fault_map_exact({16, 8}, 4, gen);
+  EXPECT_THROW(save_fault_map("/dev/full", map), std::runtime_error);
 }
 
 // ------------------------------------------------- v2 timeline format

@@ -2,7 +2,10 @@
 // (Fig. 2), fault samplers, and the functional SRAM array.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/memory/fault_map.hpp"
@@ -166,6 +169,41 @@ TEST(FaultSamplerTest, FullArraySaturation) {
   const array_geometry tiny{2, 4};
   const fault_map map = sample_fault_map_exact(tiny, 8, gen);
   EXPECT_EQ(map.fault_count(), 8u);
+}
+
+TEST(FaultSamplerTest, FlipMapIsTheFloydDrawOfItsCells) {
+  // sample_fault_map_exact draws no kind under flip polarity, so its map
+  // holds exactly draw_distinct_cells' cells and both consume the same
+  // stream. Saturated and near-saturated draws exercise the collision
+  // branch of Floyd's algorithm.
+  const struct {
+    array_geometry geometry;
+    std::uint64_t n;
+  } cases[] = {{geometry_16kb_x32(), 1},
+               {geometry_16kb_x32(), 40},
+               {{16, 39}, 150},
+               {{2, 4}, 7},
+               {{2, 4}, 8}};
+  for (const auto& c : cases) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      rng map_gen(seed);
+      rng cell_gen(seed);
+      const fault_map map = sample_fault_map_exact(c.geometry, c.n, map_gen);
+      std::vector<std::uint64_t> cells;
+      draw_distinct_cells(c.geometry.cells(), c.n, cell_gen,
+                          [&](std::uint64_t cell) { cells.push_back(cell); });
+      std::sort(cells.begin(), cells.end());
+      ASSERT_EQ(map.fault_count(), cells.size());
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        const fault& f = map.all_faults()[i];
+        EXPECT_EQ(std::uint64_t{f.row} * c.geometry.width + f.col, cells[i]);
+        EXPECT_EQ(f.kind, fault_kind::flip);
+      }
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(map_gen(), cell_gen()) << "rng states diverged, seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(FaultSamplerTest, RejectsOverfull) {

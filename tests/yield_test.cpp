@@ -2,8 +2,15 @@
 // Monte-Carlo CDF (Fig. 5) and the quality-aware yield criterion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
 
+#include "urmem/common/binomial.hpp"
+#include "urmem/scenario/scheme_registry.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
 #include "urmem/sim/campaign_runner.hpp"
 #include "urmem/yield/mse_distribution.hpp"
@@ -132,6 +139,77 @@ TEST(MseCdfTest, TinyRunCountStillCoversDominantStrata) {
   config.seed = 3;
   const empirical_cdf cdf = sweep(*scheme, 5e-6, config);
   EXPECT_GT(cdf.size(), 5u);
+}
+
+/// The sweep's trial layout rebuilt around the sample_mse oracle: the
+/// same strata (the Pr(N = 0) mass as a one-trial n = 0 stratum first)
+/// flattened in order, one map_weighted trial each.
+empirical_cdf oracle_sweep(const protection_scheme& scheme, std::uint32_t rows,
+                           double pcell, const mse_cdf_config& config) {
+  const array_geometry geometry{rows, scheme.storage_bits()};
+  std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
+  if (config.include_fault_free) {
+    strata.insert(strata.begin(),
+                  {0, 1, binomial_distribution(geometry.cells(), pcell).pmf(0)});
+  }
+  std::vector<std::uint64_t> starts;
+  std::uint64_t trials = 0;
+  for (const mse_stratum& s : strata) {
+    starts.push_back(trials);
+    trials += s.count;
+  }
+  campaign_runner runner({.threads = 1, .seed = config.seed});
+  return runner.map_weighted(
+      trials, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
+        const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
+        const mse_stratum& s = strata[static_cast<std::size_t>(
+            std::distance(starts.begin(), it) - 1)];
+        return {sample_mse(scheme, geometry, s.n, gen), s.weight_each};
+      });
+}
+
+/// compute_mse_cdf scores homogeneous schemes from a per-column table
+/// and tiered ones through sample_mse; either way its CDF must equal the
+/// oracle campaign bit for bit. Every registered recipe (the tiered one
+/// split into an unprotected and a SECDED half) on a 4096-row memory and
+/// on a 16-row one, where rows with several faults are common, with and
+/// without the fault-free mass, at 1 and 4 threads.
+TEST(MseCdfTest, TableScoringMatchesSampleMseOracle) {
+  for (const std::uint32_t rows : {4096u, 16u}) {
+    geometry_spec geometry;
+    geometry.rows_per_tile = rows;
+    const double pcell = rows == 16 ? 1e-2 : 5e-5;
+    for (const auto& info : scheme_registry::instance().list()) {
+      if (info.name.starts_with("test-")) continue;
+      scheme_ref ref{info.name, option_map("schemes[0]")};
+      if (info.name == "tiered") {
+        ref.options.set("0-" + std::to_string(rows / 2 - 1), "none");
+        ref.options.set(std::to_string(rows / 2) + "-" + std::to_string(rows - 1),
+                        "secded");
+      }
+      const auto scheme =
+          scheme_registry::instance().make(ref, geometry).factory(rows);
+      for (const bool fault_free : {false, true}) {
+        mse_cdf_config config;
+        config.total_runs = 20'000;
+        config.n_max = 40;
+        config.include_fault_free = fault_free;
+        config.seed = 91;
+        const empirical_cdf oracle = oracle_sweep(*scheme, rows, pcell, config);
+        for (const unsigned threads : {1u, 4u}) {
+          const std::string point = info.name + " rows=" + std::to_string(rows) +
+                                    " fault_free=" + std::to_string(fault_free) +
+                                    " threads=" + std::to_string(threads);
+          campaign_runner runner({.threads = threads, .seed = config.seed});
+          const empirical_cdf cdf =
+              compute_mse_cdf(runner, *scheme, rows, pcell, config);
+          // Vector equality on doubles is exact: bit-identical, not close.
+          EXPECT_EQ(cdf.support(), oracle.support()) << point;
+          EXPECT_EQ(cdf.cumulative(), oracle.cumulative()) << point;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
