@@ -81,8 +81,7 @@ struct mse_stratum {
 
 /// Stratified Monte-Carlo CDF of the analytic MSE of `scheme` on a
 /// memory with `rows` words and cell failure probability `pcell`.
-/// Fault positions are uniform over the scheme's storage columns, of
-/// which there must be 1..64 (a fault map's width). Trial
+/// Fault positions are uniform over the scheme's storage columns. Trial
 /// i belongs to the stratum covering i in the flattened per-stratum
 /// allocation (the Pr(N = 0) mass, when included, is an n = 0 stratum
 /// of one trial at MSE 0) and runs on `runner`, whose seed must equal

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "urmem/common/binomial.hpp"
-#include "urmem/common/bitops.hpp"
 #include "urmem/common/contracts.hpp"
 #include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
@@ -89,8 +88,6 @@ empirical_cdf compute_mse_cdf(campaign_runner& runner,
   expects(rows >= 1, "memory needs at least one row");
   expects(config.seed == runner.seed(),
           "mse_cdf_config::seed must equal the campaign runner's seed");
-  expects(is_valid_width(scheme.storage_bits()),
-          "fault maps hold 1..64 storage columns");
 
   const array_geometry geometry{rows, scheme.storage_bits()};
   std::vector<mse_stratum> strata = mse_strata(geometry, pcell, config);
