@@ -103,6 +103,14 @@ empirical_cdf::empirical_cdf(std::vector<double> values, std::vector<double> wei
   }
   expects(weights.size() == values.size(), "values/weights size mismatch");
 
+  // The unstable sort's order among tied values is load-bearing: the
+  // running sum below adds tied samples' weights (which differ across
+  // Fig. 5 strata) in that order, so its rounding is baked into every
+  // fig5 golden and perfbench digest. With GCC 12's libstdc++,
+  // std::stable_sort here moves all 33 recorded fig5_yield digests,
+  // while std::sort over (value, weight) records, compared by value,
+  // keeps them. Changing this sort is a change of recorded results,
+  // not a refactor.
   std::vector<std::size_t> order(values.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(),

@@ -1,6 +1,7 @@
 #include "urmem/lifecycle/fault_timeline.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "urmem/common/contracts.hpp"
@@ -9,8 +10,12 @@ namespace urmem {
 
 namespace {
 
+constexpr bool fault_before(const fault& a, const fault& b) {
+  return a.row != b.row ? a.row < b.row : a.col < b.col;
+}
+
 constexpr bool cell_before(const timeline_fault& a, const timeline_fault& b) {
-  return a.f.row != b.f.row ? a.f.row < b.f.row : a.f.col < b.f.col;
+  return fault_before(a.f, b.f);
 }
 
 }  // namespace
@@ -74,14 +79,24 @@ bool fault_timeline::intermittent_active(std::uint64_t cell_index,
 }
 
 void fault_timeline::rebuild_current() {
+  // Both lists are ascending (row, col) and disjoint, so one merge
+  // yields the strictly ascending list the map takes without sorting.
   const std::span<const fault> persistent = persistent_map_.all_faults();
-  std::vector<fault> active(persistent.begin(), persistent.end());
+  std::vector<fault> active;
+  active.reserve(persistent.size() + intermittent_.size());
+  auto next = persistent.begin();
   for (const timeline_fault& record : intermittent_) {
-    if (intermittent_active(geometry_.cell_index(record.f.row, record.f.col),
-                            epoch_, 0)) {
-      active.push_back(record.f);
+    if (!intermittent_active(geometry_.cell_index(record.f.row, record.f.col),
+                             epoch_, 0)) {
+      continue;
     }
+    const auto stop =
+        std::lower_bound(next, persistent.end(), record.f, fault_before);
+    active.insert(active.end(), next, stop);
+    active.push_back(record.f);
+    next = stop;
   }
+  active.insert(active.end(), next, persistent.end());
   current_ = fault_map(geometry_, std::move(active));
 }
 

@@ -68,6 +68,7 @@ class fault_map {
 
   /// Creates a map holding `faults` (any order), sorted once. A cell
   /// listed more than once keeps its last kind, as repeated add() would.
+  /// Strictly ascending (row, col) input is taken as is, in O(N).
   fault_map(array_geometry geometry, std::vector<fault> faults);
 
   [[nodiscard]] const array_geometry& geometry() const { return geometry_; }

@@ -25,16 +25,22 @@ fault_map::fault_map(array_geometry geometry) : geometry_(geometry) {
 
 fault_map::fault_map(array_geometry geometry, std::vector<fault> faults)
     : fault_map(geometry) {
-  for (const fault& f : faults) {
-    expects(f.row < geometry_.rows, "fault row out of range");
-    expects(f.col < geometry_.width, "fault column out of range");
+  bool ascending = true;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    expects(faults[i].row < geometry_.rows, "fault row out of range");
+    expects(faults[i].col < geometry_.width, "fault column out of range");
+    if (i > 0 && !cell_before(faults[i - 1], faults[i])) ascending = false;
   }
-  // The stable sort keeps each cell's duplicates in input order; unique
-  // over the reversed range then keeps the last of every run (add()'s
-  // last-wins rule), packed at the back in ascending order.
-  std::stable_sort(faults.begin(), faults.end(), cell_before);
-  faults.erase(faults.begin(),
-               std::unique(faults.rbegin(), faults.rend(), same_cell).base());
+  // Strictly ascending input (a merge of sorted lists, a sorted
+  // sample) is already the stored form. Otherwise the stable sort keeps
+  // each cell's duplicates in input order, and unique over the reversed
+  // range keeps the last of every run (add()'s last-wins rule), packed
+  // at the back in ascending order.
+  if (!ascending) {
+    std::stable_sort(faults.begin(), faults.end(), cell_before);
+    faults.erase(faults.begin(),
+                 std::unique(faults.rbegin(), faults.rend(), same_cell).base());
+  }
   faults_ = std::move(faults);
 }
 

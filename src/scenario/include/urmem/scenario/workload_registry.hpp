@@ -20,6 +20,7 @@
 #include "urmem/common/json.hpp"
 #include "urmem/scenario/scheme_registry.hpp"
 #include "urmem/sim/campaign_runner.hpp"
+#include "urmem/yield/mse_distribution.hpp"
 
 namespace urmem {
 
@@ -131,6 +132,20 @@ void reject_schemes(const scenario_spec& spec, std::string_view workload_name);
 /// honor (stratified exact-N injectors, external voltage sweeps).
 void reject_region_operating_points(const scenario_spec& spec,
                                     std::string_view workload_name);
+
+/// Throws spec_error("workload.nmax") when a stratified Fig. 5 sweep
+/// (compute_mse_cdf) would stratify beyond rows_per_tile x word_bits
+/// failures: no memory of the spec holds more failing cells, and every
+/// count up to nmax costs a binomial pmf evaluation.
+void check_mse_nmax(const scenario_spec& spec, std::uint64_t n_max);
+
+/// Throws spec_error when the sweep `config` over `storage` at `pcell`
+/// would give no stratum a sample. It names workload.runs, with the
+/// count that would sample the likeliest stratum, when such a count
+/// exists, and `pcell_field` otherwise.
+void check_mse_strata(const array_geometry& storage, double pcell,
+                      const mse_cdf_config& config,
+                      std::string_view pcell_field);
 
 /// Region table a lifecycle or serving tile of `recipe` is
 /// manufactured with: the recipe's own regions (tiered entries) or one

@@ -1,9 +1,13 @@
 #include "urmem/scenario/workload_registry.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
+
+#include "urmem/common/binomial.hpp"
+#include "urmem/common/table.hpp"
 
 namespace urmem {
 
@@ -120,6 +124,44 @@ void reject_region_operating_points(const scenario_spec& spec,
             "' workload injects at one operating point and cannot honor "
             "per-region overrides (hrm-quality and ml-quality can)");
   }
+}
+
+void check_mse_nmax(const scenario_spec& spec, std::uint64_t n_max) {
+  const std::uint64_t cells = static_cast<std::uint64_t>(
+                                  spec.geometry.rows_per_tile) *
+                              spec.geometry.word_bits;
+  if (n_max > cells) {
+    throw spec_error("workload.nmax",
+                     "must be at most rows_per_tile x word_bits = " +
+                         std::to_string(cells) +
+                         ", the memory's cell count");
+  }
+}
+
+void check_mse_strata(const array_geometry& storage, double pcell,
+                      const mse_cdf_config& config,
+                      std::string_view pcell_field) {
+  if (!mse_strata(storage, pcell, config).empty()) return;
+  const binomial_distribution dist(storage.cells(), pcell);
+  double likeliest = 0.0;
+  for (std::uint64_t n = config.n_min; n <= config.n_max; ++n) {
+    likeliest = std::max(likeliest, dist.pmf(n));
+  }
+  // A stratum gets samples once llround(Pr(N = n) * runs) >= 1.
+  const double needed = std::ceil(0.5 / likeliest);
+  if (likeliest > 0.0 && needed < 0x1p64) {
+    throw spec_error("workload.runs",
+                     "no failure count in " + std::to_string(config.n_min) +
+                         ".." + std::to_string(config.n_max) +
+                         " gets a sample; the likeliest needs runs >= " +
+                         format_scientific(needed, 2));
+  }
+  throw spec_error(std::string(pcell_field),
+                   "Pcell " + format_scientific(pcell, 2) +
+                       " leaves failure counts " +
+                       std::to_string(config.n_min) + ".." +
+                       std::to_string(config.n_max) +
+                       " too unlikely for any runs count to sample");
 }
 
 std::vector<memory_region> lifecycle_tile_regions(const scenario_spec& spec,

@@ -458,10 +458,19 @@ class multifault_policy_workload final : public workload {
     if (runs_ < 1) {
       throw spec_error(options.field_name("runs"), "must be at least 1");
     }
+    if (n_max_ < 1) {
+      throw spec_error(options.field_name("nmax"), "must be at least 1");
+    }
     if (pcells_.empty() || nfms_.empty()) {
       throw spec_error(
           options.field_name(pcells_.empty() ? "pcells" : "nfms"),
           "needs at least one value");
+    }
+    for (const double pcell : pcells_) {
+      if (!(pcell > 0.0 && pcell < 1.0)) {
+        throw spec_error(options.field_name("pcells"),
+                         "entries must lie in (0, 1)");
+      }
     }
   }
 
@@ -480,6 +489,8 @@ class multifault_policy_workload final : public workload {
       validate_shuffle_design(spec.geometry, static_cast<unsigned>(nfm),
                               "workload.nfms");
     }
+
+    check_mse_nmax(spec, n_max_);
 
     mse_cdf_config config;
     config.total_runs = runs_;
@@ -502,6 +513,8 @@ class multifault_policy_workload final : public workload {
         for (const shift_policy policy :
              {shift_policy::min_mse, shift_policy::first_fault}) {
           const auto scheme = make_scheme_shuffle(rows, width, n_fm, policy);
+          check_mse_strata({rows, scheme->storage_bits()}, pcell, config,
+                           "workload.pcells");
           const empirical_cdf cdf =
               compute_mse_cdf(runner, *scheme, rows, pcell, config);
           const double q90 = mse_for_yield(cdf, 0.90);

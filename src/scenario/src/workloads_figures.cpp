@@ -53,6 +53,7 @@ class fig5_workload final : public workload {
                        "positive Pcell");
     }
     const std::uint32_t rows = spec.geometry.rows_per_tile;
+    check_mse_nmax(spec, n_max_);
 
     mse_cdf_config config;
     config.total_runs = runs_;
@@ -94,6 +95,9 @@ class fig5_workload final : public workload {
         acfg.n_max = std::min<std::uint64_t>(config.n_max, 40);
         cdfs.push_back(analytic_mse_cdf(*scheme, rows, pcell, acfg));
       } else {
+        check_mse_strata({rows, scheme->storage_bits()}, pcell, config,
+                         spec.fault.pcell.has_value() ? "fault.pcell"
+                                                      : "fault.vdd");
         campaign_runner& runner = pool.runner();
         std::cerr << "  sampling " << scheme->name() << "...\n";
         cdfs.push_back(compute_mse_cdf(runner, *scheme, rows, pcell, config));

@@ -15,16 +15,19 @@
 // quality queries and the background scrub genuinely overlap:
 //
 //  * An epoch gate (ts_shared_mutex, a reader-sharded lock) orders
-//    traffic against maintenance. Requests and scrub passes hold it
-//    shared, each counted in its thread's own cache-line slot;
-//    step_epoch's mutation window — apply deferred retirements/
-//    degradation, age the timeline, install the new fault map — holds
-//    it exclusive. The logical->physical mapping and the fault map are
-//    therefore constant within an epoch, and any request's outcome is a
-//    pure function of (row, epoch). So is a quality query's residual
-//    row count: each tile counts it once per epoch, on the epoch's
-//    first query, and every later query of the epoch adds the cached
-//    value.
+//    traffic against maintenance. An epoch boundary has two halves.
+//    advance_epoch() is the exclusive window: it applies the previous
+//    epoch's deferred retirements/degradation, ages the timeline and
+//    installs the new fault map, holding the gate exclusive. Traffic
+//    waits only for this. scrub_epoch() then runs the epoch's due
+//    scrub passes under the *shared* gate, so they may overlap the
+//    epoch's requests (service_driver's drive() runs them that way;
+//    step_epoch() runs both halves back to back). The
+//    logical->physical mapping and the fault map are therefore
+//    constant within an epoch, and any request's outcome is a pure
+//    function of (row, epoch). So is a quality query's residual row
+//    count: each tile counts it once per epoch, on the epoch's first
+//    query, and every later query of the epoch adds the cached value.
 //
 //  * Stores always write the service's canonical word for the row (the
 //    authoritative copy a real serving tier refreshes from), and the
@@ -33,25 +36,31 @@
 //    With a write-idempotent fault population — stuck-at and flip
 //    faults corrupt reads, not stores — every write of a row stores
 //    the same bits, so concurrent stores, readbacks and scrub rewrites
-//    commute. Transition-fault populations (polarity "mixed") are
-//    rejected at construction: they latch write history and would make
-//    outcomes interleaving-dependent.
+//    commute: a scrub pass finds the same rows whether it runs before,
+//    between or beside the epoch's requests, and no request sees
+//    whether the pass has run. Transition-fault populations (polarity
+//    "mixed") are rejected at construction: they latch write history
+//    and would make outcomes interleaving-dependent.
 //
-//  * Per-row stripe locks (one per cache line) serialize touching the
-//    *same* row from two threads (a data race even when idempotent).
-//    The outcome counters are sharded by the same thread slot as the
-//    gate, one cache line per slot per tile, and summed at snapshot
-//    time; they are commutative integer sums, so the totals do not
-//    depend on which slot counted what. A request therefore writes the
-//    gate and counter lines of its own slot, its row's stripe and the
-//    row's words, and no line every client writes.
+//  * Per-row stripe locks (512 stripes, one per cache line) serialize
+//    touching the *same* row from two threads (a data race even when
+//    idempotent); the scrub pass takes the same stripes row by row.
+//    With 512 stripes a pass beside traffic rarely meets a request on
+//    its stripe. The outcome counters are sharded by the same thread
+//    slot as the gate, one cache line per slot per tile, and summed at
+//    snapshot time; they are commutative integer sums, so the totals do
+//    not depend on which slot counted what. A request therefore writes
+//    the gate and counter lines of its own slot, its row's stripe and
+//    the row's words, and no line every client writes.
 //
-// Retirement is deliberately deferred maintenance: a scrub pass runs
-// concurrently with traffic and records findings, but spares are spent
-// (and rows marked / fail-stopped) only inside the next epoch
-// boundary's exclusive window — the way a deployed fleet schedules
-// page-retirement at a quiesce point instead of yanking a mapping
-// mid-request.
+// Retirement is deliberately deferred maintenance: a scrub pass only
+// records findings, and spares are spent (and rows marked /
+// fail-stopped) inside the next epoch boundary's exclusive window —
+// the way a deployed fleet schedules page-retirement at a quiesce
+// point instead of yanking a mapping mid-request. The admin thread
+// runs the next window only after the pass returns, so every pass's
+// findings land in the boundary right after it whether or not it
+// overlapped traffic.
 #pragma once
 
 #include <array>
@@ -138,10 +147,23 @@ class memory_service {
   void readback(std::uint32_t row) URMEM_EXCLUDES(gate_);
   void quality_query() URMEM_EXCLUDES(gate_);
 
-  /// Admin op: applies the previous epoch's deferred scrub findings,
-  /// ages every live tile one epoch (new fault arrivals installed),
-  /// then runs the due scrub passes concurrently with traffic under
-  /// the shared gate. Call from one maintenance thread only.
+  /// Admin op, the exclusive window of an epoch boundary: applies the
+  /// previous epoch's deferred scrub findings and ages every live tile
+  /// one epoch (new fault arrivals installed). Traffic waits for it.
+  /// Call from one maintenance thread only.
+  void advance_epoch() URMEM_EXCLUDES(gate_);
+
+  /// Admin op: runs the current epoch's due scrub passes under the
+  /// shared gate, so they may overlap the epoch's traffic, and records
+  /// their findings for the next advance_epoch() (or drain()). Call
+  /// once per epoch, after advance_epoch(), from the same maintenance
+  /// thread.
+  void scrub_epoch() URMEM_EXCLUDES(gate_);
+
+  /// Admin op: one whole boundary, advance_epoch() then scrub_epoch().
+  /// Only requests that other threads issue meanwhile overlap the
+  /// scrub; drive() calls the two halves itself so that it can publish
+  /// the epoch to its clients in between.
   void step_epoch() URMEM_EXCLUDES(gate_);
 
   /// Admin op: applies any still-deferred scrub findings (call once
@@ -184,22 +206,19 @@ class memory_service {
   /// holds the gate exclusively.
   void apply_boundary(bool advance) URMEM_REQUIRES(gate_);
 
-  /// Runs the due scrub passes, recording findings for the next
-  /// boundary. Concurrent with traffic under the shared gate; called
-  /// from the single admin thread only.
-  void run_due_scrubs() URMEM_REQUIRES_SHARED(gate_);
-
   std::uint32_t rows_ = 0;
   std::vector<word_t> words_;  ///< canonical per-row data (seeds.app)
   std::vector<std::unique_ptr<tile>> tiles_;
 
   ts_shared_mutex gate_;  ///< shared = traffic/scrub, exclusive = boundary
   /// One row-stripe lock per cache line, so two clients locking
-  /// different stripes write different lines.
+  /// different stripes write different lines. 512 stripes (32 KB): a
+  /// scrub pass walking the rows beside traffic then rarely holds the
+  /// stripe a request needs.
   struct alignas(cache_line_bytes) stripe {
     ts_mutex mutex;
   };
-  static constexpr std::uint32_t stripe_mask_ = 63;
+  static constexpr std::uint32_t stripe_mask_ = 511;
   std::array<stripe, stripe_mask_ + 1> stripes_;
 
   std::atomic<std::uint64_t> epoch_steps_{0};

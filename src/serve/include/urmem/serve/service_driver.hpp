@@ -10,16 +10,27 @@
 // integer counters are interleaving-independent.
 //
 // Epoch pacing: request i belongs to lifecycle epoch
-// i / requests_per_epoch. A client about to issue request i first waits
-// until the admin loop has stepped the service to epoch(i); the admin
-// loop, which runs on drive()'s calling thread, steps boundary e as
-// soon as all e*requests_per_epoch earlier requests completed. Clients
-// in the same epoch run fully concurrently — the barrier is per-epoch,
-// not per-request, and a client whose epoch is already published reads
-// it from an atomic copy without taking the pacing mutex. Latency is
-// measured around the service call only (gate and stripe contention
-// included, pacing waits excluded: the barrier is a determinism
-// artifact, not service time).
+// i / requests_per_epoch. Boundary e (stepping the service to epoch e)
+// fires once all e*requests_per_epoch earlier requests completed. The
+// admin loop, on drive()'s calling thread, runs each boundary in two
+// halves: memory_service::advance_epoch(), the exclusive window, then
+// it publishes epoch e, then memory_service::scrub_epoch() under the
+// shared gate beside epoch e's traffic. Clients therefore wait only for
+// the window. The admin runs the next window after the scrub returns,
+// so each pass's findings still land in the next boundary, exactly as
+// when step_epoch() runs both halves before the epoch's traffic.
+//
+// Completion is counted per client: each client bumps a counter on its
+// own cache line, and the client that finishes its share of an epoch
+// sums all of them and, once the epoch is complete, releases the
+// boundary to the admin. A client whose epoch is already published
+// reads it from an atomic copy without the pacing mutex, and both
+// sides yield briefly before blocking, so a hand-over rarely sleeps.
+// Clients
+// in the same epoch run fully concurrently: the barrier is per epoch,
+// not per request. Latency is measured around the service call only
+// (gate and stripe contention included, pacing waits excluded: the
+// barrier is a determinism artifact, not service time).
 #pragma once
 
 #include <cstdint>

@@ -230,7 +230,17 @@ void memory_service::apply_boundary(bool advance) {
   }
 }
 
-void memory_service::run_due_scrubs() {
+void memory_service::advance_epoch() {
+  ts_unique_lock gate(gate_);
+  apply_boundary(/*advance=*/true);
+  epoch_steps_.fetch_add(1, std::memory_order_release);
+}
+
+void memory_service::scrub_epoch() {
+  // The passes run under the shared gate, so they may overlap the
+  // epoch's traffic; their retirements stay deferred in `findings`
+  // until the next boundary (or drain()).
+  ts_shared_lock gate(gate_);
   for (const auto& entry : tiles_) {
     if (!entry->alive || !entry->manager->scrub_due()) continue;
     // Lock order gate -> findings_mutex -> stripe (the pass takes row
@@ -242,16 +252,8 @@ void memory_service::run_due_scrubs() {
 }
 
 void memory_service::step_epoch() {
-  {
-    ts_unique_lock gate(gate_);
-    apply_boundary(/*advance=*/true);
-    epoch_steps_.fetch_add(1, std::memory_order_release);
-  }
-  // The pass itself runs under the shared gate, concurrent with request
-  // traffic; its retirements stay deferred in `findings` until the next
-  // boundary (or drain()).
-  ts_shared_lock gate(gate_);
-  run_due_scrubs();
+  advance_epoch();
+  scrub_epoch();
 }
 
 void memory_service::drain() {

@@ -13,30 +13,53 @@ namespace urmem {
 
 namespace {
 
-/// Shared pacing state: completed-request count (atomic, bumped outside
-/// any lock) and the admin loop's published epoch. The cv is only
-/// signalled at epoch-boundary crossings, and clients take the mutex
-/// only when they must wait, so the hot path is one fetch_add and two
-/// loads of lines written once per epoch.
+/// Shared pacing state: the epoch the admin loop has published and the
+/// boundaries the clients have released. Each side takes the mutex only
+/// to wait or to hand over, and reads the lock-free copies otherwise,
+/// so the hot path writes no line another thread writes.
 struct pacing {
   ts_mutex mutex;
-  ts_condition_variable cv;
+  /// Admin -> clients: an epoch is published (or the run stopped).
+  ts_condition_variable published;
+  /// Clients -> admin: an epoch's requests all completed (or stopped).
+  ts_condition_variable released;
   std::uint64_t epoch_done URMEM_GUARDED_BY(mutex) = 0;
+  /// Highest boundary e whose first e*per_epoch requests completed.
+  std::uint64_t boundary_ready URMEM_GUARDED_BY(mutex) = 0;
   bool stop URMEM_GUARDED_BY(mutex) = false;  ///< deadline reached
-  /// Lock-free copies of epoch_done and stop, stored under `mutex`
-  /// together with the originals. A client that finds them current
-  /// skips the lock; one that does not re-checks the originals under
-  /// the lock, so no wake-up is lost.
+  /// Lock-free copies of epoch_done, boundary_ready and stop, stored
+  /// under `mutex` together with the originals. A thread that finds
+  /// them current skips the lock; one that does not re-checks the
+  /// originals under the lock, so no wake-up is lost.
   alignas(cache_line_bytes) std::atomic<std::uint64_t> epoch_ready{0};
+  std::atomic<std::uint64_t> boundary_released{0};
   std::atomic<bool> stopped{false};
-  /// On its own line: every request writes it.
-  alignas(cache_line_bytes) std::atomic<std::uint64_t> completed{0};
 };
 
-/// A client's latency histogram, padded so that recording a sample
-/// writes no line another client writes.
-struct alignas(cache_line_bytes) client_latency {
+/// Times a waiter yields for a hand-over (an epoch published, a
+/// boundary released) before it blocks on the condition variable. The
+/// exclusive window takes tens of microseconds, less than a futex
+/// sleep and wake-up, so a waiter usually sees the hand-over while it
+/// is still yielding.
+constexpr int handover_yields = 200;
+
+/// Yields until `ready()` holds or the budget runs out; returns ready().
+template <typename Ready>
+bool yield_until(Ready ready) {
+  for (int i = 0; i < handover_yields; ++i) {
+    if (ready()) return true;
+    std::this_thread::yield();
+  }
+  return ready();
+}
+
+/// One client's own state, padded so that recording a request writes
+/// no line another client writes: its latency histogram and its count
+/// of completed requests, which only it writes and the others sum when
+/// they finish a share of an epoch.
+struct alignas(cache_line_bytes) client_state {
   latency_histogram histogram;
+  alignas(cache_line_bytes) std::atomic<std::uint64_t> completed{0};
 };
 
 }  // namespace
@@ -68,20 +91,38 @@ drive_report drive(memory_service& service, const driver_config& config) {
                   std::chrono::duration<double>(
                       timed ? config.duration_seconds : 0.0));
 
-  std::vector<client_latency> latencies(clients);
+  std::vector<client_state> states(clients);
+  const auto completed_total = [&] {
+    std::uint64_t sum = 0;
+    for (const client_state& state : states) sum += state.completed.load();
+    return sum;
+  };
+  const auto stop_all = [&] {
+    {
+      ts_lock_guard lock(pace.mutex);
+      pace.stop = true;
+      pace.stopped.store(true, std::memory_order_release);
+    }
+    pace.published.notify_all();
+    pace.released.notify_all();
+  };
 
   auto client_loop = [&](std::uint32_t client) {
-    latency_histogram& histogram = latencies[client].histogram;
+    client_state& self = states[client];
+    std::uint64_t done = 0;
     for (std::uint64_t index = client; index < total; index += clients) {
       if (pace.stopped.load(std::memory_order_acquire)) return;
-      const std::uint64_t target = per_epoch > 0 ? index / per_epoch : 0;
-      if (pace.epoch_ready.load(std::memory_order_acquire) < target) {
+      const std::uint64_t epoch = per_epoch > 0 ? index / per_epoch : 0;
+      const auto epoch_is_ready = [&] {
+        return pace.epoch_ready.load(std::memory_order_acquire) >= epoch;
+      };
+      if (!yield_until(epoch_is_ready)) {
         // Wait for the service to reach this request's epoch. Manual
         // predicate loop so the guarded reads sit in this function,
         // where the analysis can see the held capability.
         ts_lock_guard lock(pace.mutex);
-        while (!pace.stop && pace.epoch_done < target) {
-          pace.cv.wait(pace.mutex);
+        while (!pace.stop && pace.epoch_done < epoch) {
+          pace.published.wait(pace.mutex);
         }
         if (pace.stop) return;
       }
@@ -99,51 +140,75 @@ drive_report drive(memory_service& service, const driver_config& config) {
         service.readback(row);
       }
       const auto finished = std::chrono::steady_clock::now();
-      histogram.record(static_cast<std::uint64_t>(
+      self.histogram.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(finished -
                                                                issued)
               .count()));
 
-      const std::uint64_t done =
-          pace.completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-      const bool deadline_hit = timed && finished >= deadline;
-      if (deadline_hit || done == total ||
-          (per_epoch > 0 && done % per_epoch == 0)) {
-        {
-          ts_lock_guard lock(pace.mutex);
-          if (deadline_hit) {
-            pace.stop = true;
-            pace.stopped.store(true, std::memory_order_release);
-          }
-        }
-        pace.cv.notify_all();
+      // The client whose share of the epoch ends here sums every
+      // client's count. Its store and the loads of the sum are
+      // sequentially consistent, so of the clients finishing their
+      // shares the last one to store sees all the others' counts, and
+      // it releases the boundary. Until that boundary fires no request
+      // of a later epoch can run, so reaching the epoch's end count
+      // means exactly that the epoch's requests all completed.
+      const std::uint64_t next = index + clients;
+      const bool share_end =
+          per_epoch > 0 && (next >= total || next / per_epoch != epoch);
+      ++done;
+      if (share_end) {
+        self.completed.store(done, std::memory_order_seq_cst);
+      } else {
+        self.completed.store(done, std::memory_order_relaxed);
       }
+      if (timed && finished >= deadline) {
+        stop_all();
+        return;
+      }
+      if (!share_end) continue;
+      const std::uint64_t boundary = epoch + 1;
+      if (completed_total() < boundary * per_epoch) continue;
+      {
+        ts_lock_guard lock(pace.mutex);
+        if (pace.boundary_ready < boundary) {
+          pace.boundary_ready = boundary;
+          pace.boundary_released.store(boundary, std::memory_order_release);
+        }
+      }
+      pace.released.notify_one();
     }
   };
 
   // Epoch boundaries strictly inside the budget: boundary e (stepping
   // the service to epoch e) fires once the first e*per_epoch requests
-  // completed, for every e with e*per_epoch < total.
+  // completed, for every e with e*per_epoch < total. Epoch e is
+  // published right after the exclusive window, and its scrub runs
+  // beside its traffic; the next window follows the scrub on this
+  // thread, so the scrub's findings still land in the next boundary.
   auto admin_loop = [&] {
     const std::uint64_t boundaries =
         (per_epoch == 0 || total == 0) ? 0 : (total - 1) / per_epoch;
     for (std::uint64_t epoch = 1; epoch <= boundaries; ++epoch) {
-      {
+      const auto boundary_is_released = [&] {
+        return pace.boundary_released.load(std::memory_order_acquire) >=
+               epoch;
+      };
+      if (!yield_until(boundary_is_released) ||
+          pace.stopped.load(std::memory_order_acquire)) {
         ts_lock_guard lock(pace.mutex);
-        while (!pace.stop &&
-               pace.completed.load(std::memory_order_acquire) <
-                   epoch * per_epoch) {
-          pace.cv.wait(pace.mutex);
+        while (!pace.stop && pace.boundary_ready < epoch) {
+          pace.released.wait(pace.mutex);
         }
         if (pace.stop) return;
       }
-      service.step_epoch();
+      service.advance_epoch();
       {
         ts_lock_guard lock(pace.mutex);
         pace.epoch_done = epoch;
         pace.epoch_ready.store(epoch, std::memory_order_release);
       }
-      pace.cv.notify_all();
+      pace.published.notify_all();
+      service.scrub_epoch();
     }
   };
 
@@ -162,12 +227,7 @@ drive_report drive(memory_service& service, const driver_config& config) {
   try {
     admin_loop();
   } catch (...) {
-    {
-      ts_lock_guard lock(pace.mutex);
-      pace.stop = true;
-      pace.stopped.store(true, std::memory_order_release);
-    }
-    pace.cv.notify_all();
+    stop_all();
     join_all();
     throw;
   }
@@ -177,10 +237,10 @@ drive_report drive(memory_service& service, const driver_config& config) {
 
   drive_report report;
   report.counters = service.stats_snapshot();
-  for (const client_latency& client : latencies) {
-    report.latency.merge(client.histogram);
+  for (const client_state& state : states) {
+    report.latency.merge(state.histogram);
   }
-  report.executed = pace.completed.load(std::memory_order_acquire);
+  report.executed = completed_total();
   const auto end = std::chrono::steady_clock::now();
   report.wall_seconds =
       std::chrono::duration<double>(end - start).count();

@@ -5,6 +5,7 @@
 // lifecycle-quality workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -91,6 +92,51 @@ TEST(FaultTimelineTest, CorruptReadAttemptZeroMatchesInstalledMap) {
     }
     timeline.advance();
   }
+}
+
+TEST(FaultTimelineTest, CurrentMapIsThePersistentPlusActiveIntermittents) {
+  // Oracle: the sorting constructor over the exported population, with
+  // each intermittent kept when an attempt-0 read shows it active (a
+  // stuck-at cell reads against the bit probed for it; persistent and
+  // intermittent cells are disjoint, so no other fault touches that
+  // bit).
+  fault_map initial({40, 16});
+  initial.add({3, 5, fault_kind::stuck_at_one});
+  initial.add({17, 0, fault_kind::stuck_at_zero});
+  initial.add({39, 15, fault_kind::stuck_at_one});
+  timeline_config config;
+  config.arrivals_per_epoch = 7;
+  config.intermittent_cells = 24;
+  config.polarity = fault_polarity::random_stuck;
+  config.seed = 8;
+  fault_timeline timeline(std::move(initial), config);
+  std::uint64_t active = 0;
+  std::uint64_t quiescent = 0;
+  for (int k = 0; k <= 12; ++k) {
+    std::vector<fault> oracle;
+    for (const timeline_fault& record : timeline.export_faults().faults) {
+      if (record.intermittent) {
+        const word_t bit = word_t{1} << record.f.col;
+        const word_t probe =
+            record.f.kind == fault_kind::stuck_at_zero ? bit : word_t{0};
+        const word_t read = timeline.corrupt_read(record.f.row, probe, 0);
+        if (((read ^ probe) & bit) == 0) {
+          ++quiescent;
+          continue;
+        }
+        ++active;
+      }
+      oracle.push_back(record.f);
+    }
+    std::reverse(oracle.begin(), oracle.end());  // make the constructor sort
+    const fault_map expected(timeline.geometry(), std::move(oracle));
+    EXPECT_TRUE(std::ranges::equal(timeline.current().all_faults(),
+                                   expected.all_faults()))
+        << "after " << k << " advances";
+    timeline.advance();
+  }
+  EXPECT_GT(active, 0u);
+  EXPECT_GT(quiescent, 0u);
 }
 
 TEST(FaultTimelineTest, RetriesRerollOnlyIntermittents) {

@@ -77,6 +77,39 @@ TEST(FaultMapTest, RejectsOutOfRangeCells) {
   EXPECT_THROW(map.add({0, 8, fault_kind::flip}), std::invalid_argument);
 }
 
+TEST(FaultMapTest, AscendingInputEqualsTheSortedBuild) {
+  // 400 draws over 1024 cells: a shuffled list in which some cells
+  // repeat with different kinds. Repeated add() resolves the repeats
+  // last-wins; its fault list is the strictly ascending input.
+  const array_geometry geometry{64, 16};
+  rng gen(6);
+  std::vector<fault> shuffled;
+  fault_map by_add(geometry);
+  for (int i = 0; i < 400; ++i) {
+    const fault f{static_cast<std::uint32_t>(gen.uniform_below(64)),
+                  static_cast<std::uint32_t>(gen.uniform_below(16)),
+                  static_cast<fault_kind>(gen.uniform_below(5))};
+    shuffled.push_back(f);
+    by_add.add(f);
+  }
+  const std::span<const fault> expected = by_add.all_faults();
+  ASSERT_LT(expected.size(), shuffled.size());  // repeats were drawn
+
+  const std::vector<fault> in_order(expected.begin(), expected.end());
+  const fault_map sorted(geometry, shuffled);
+  const fault_map ascending(geometry, in_order);
+  EXPECT_TRUE(std::ranges::equal(sorted.all_faults(), expected));
+  EXPECT_TRUE(std::ranges::equal(ascending.all_faults(), expected));
+
+  // Ascending input is still range-checked, fault by fault.
+  const std::vector<fault> bad_col{{0, 1, fault_kind::flip},
+                                   {63, 16, fault_kind::flip}};
+  const std::vector<fault> bad_row{{0, 1, fault_kind::flip},
+                                   {64, 0, fault_kind::flip}};
+  EXPECT_THROW(fault_map(geometry, bad_col), std::invalid_argument);
+  EXPECT_THROW(fault_map(geometry, bad_row), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------
 // Cell failure model (Fig. 2)
 

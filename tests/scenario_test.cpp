@@ -538,6 +538,50 @@ TEST(ScenarioRunner, LutFaultsRejectsAPcellThatCorruptsNoRead) {
   }
 }
 
+// The two stratified Fig. 5 sweeps blame a field, before any trial runs,
+// for a failure-count range beyond the memory (nmax = 2^63 used to run
+// forever) and for counts that leave every stratum without a sample
+// (which used to trip the sweep's internal invariant).
+TEST(ScenarioRunner, MseSweepsNameTheFieldOfAnUnsampleableRange) {
+  struct bad_case {
+    std::string pcell;     ///< fig5-mse's fault.pcell; "" for the ablation
+    std::string workload;  ///< the workload section
+    std::string field;
+  };
+  // 64 x 32 = 2048 cells; at Pcell 1e-3 the likeliest count has
+  // Pr ~ 0.27, so one run samples no stratum and two would.
+  const std::string nmax_2_63 =
+      R"({"name": "fig5-mse", "nmax": 9223372036854775808})";
+  const std::string mf = R"({"name": "multifault-policy", )";
+  const std::vector<bad_case> cases = {
+      {"1e-3", R"({"name": "fig5-mse", "nmax": 2049})", "workload.nmax"},
+      {"1e-3", nmax_2_63, "workload.nmax"},
+      {"1e-3", R"({"name": "fig5-mse", "runs": 1})", "workload.runs"},
+      {"1e-300", R"({"name": "fig5-mse", "runs": 1000})", "fault.pcell"},
+      {"", mf + R"("nmax": 2049})", "workload.nmax"},
+      {"", mf + R"("nmax": 0})", "workload.nmax"},
+      {"", mf + R"("runs": 1, "pcells": "1e-3"})", "workload.runs"},
+      {"", mf + R"("pcells": "1e-300"})", "workload.pcells"},
+      {"", mf + R"("pcells": "0"})", "workload.pcells"},
+  };
+  for (const bad_case& c : cases) {
+    SCOPED_TRACE(c.workload + " pcell=" + c.pcell);
+    std::string text = R"({"geometry": {"rows_per_tile": 64}, )";
+    text += R"("run": {"threads": 1}, "workload": )" + c.workload;
+    if (!c.pcell.empty()) {
+      text += R"(, "schemes": ["none"], "fault": {"pcell": )" + c.pcell + "}";
+    }
+    try {
+      const scenario_spec spec = scenario_spec::parse_text(text + "}");
+      std::ostringstream out;
+      (void)scenario_runner(spec).run(out);
+      ADD_FAILURE() << "expected spec_error";
+    } catch (const spec_error& error) {
+      EXPECT_EQ(error.field(), c.field) << error.what();
+    }
+  }
+}
+
 // Every spec under scenarios/ parses, and each one that names a workload
 // resolves its schemes and workload eagerly (no trial runs), so a spec
 // nothing else loads cannot rot unnoticed.

@@ -146,7 +146,10 @@ class sabotaged_fast_path final : public protection_scheme {
 
 TEST(ProtectedMemoryTest, SingleWordAccessHonoursReferencePath) {
   const word_t data = 0xC0FFEE00u;
+  // Pinned, so the case holds when URMEM_FAULT_PATH=reference makes the
+  // reference path the process default.
   protected_memory compiled(4, std::make_unique<sabotaged_fast_path>(), 1);
+  compiled.set_fault_path(fault_path::compiled);
   compiled.write(2, data);
   EXPECT_EQ(compiled.read(2).data, data ^ 3);  // the sabotage is live
 

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "urmem/common/rng.hpp"
 #include "urmem/common/thread_safety.hpp"
 #include "urmem/scenario/scenario_spec.hpp"
 #include "urmem/serve/memory_service.hpp"
@@ -191,6 +192,69 @@ TEST(ServiceDriver, CountersAreClientCountInvariant) {
     EXPECT_GT(report.requests_per_second, 0.0);
   }
   EXPECT_FALSE(baseline.empty());
+}
+
+/// The serial oracle of drive(): request indices in order on this
+/// thread, drawn from drive()'s traffic streams, with a whole
+/// step_epoch() (window, then scrub) before each later epoch's first
+/// request, so no scrub pass overlaps any request.
+service_snapshot serial_oracle(const scenario_spec& spec) {
+  memory_service service(spec);
+  const driver_config config = driver_config_from(spec);
+  const std::uint64_t traffic_seed =
+      stream_seed(config.seed_root, stream_tag("serve.traffic"));
+  for (std::uint64_t index = 0; index < config.requests; ++index) {
+    if (index > 0 && index % config.requests_per_epoch == 0) {
+      service.step_epoch();
+    }
+    rng gen = make_stream_rng(traffic_seed, index);
+    const std::uint64_t draw = gen.uniform_below(100);
+    const auto row =
+        static_cast<std::uint32_t>(gen.uniform_below(service.rows()));
+    if (draw < config.store_percent) {
+      service.store(row);
+    } else if (draw < config.store_percent + config.quality_percent) {
+      service.quality_query();
+    } else {
+      service.readback(row);
+    }
+  }
+  service.drain();
+  return service.stats_snapshot();
+}
+
+TEST(ServiceDriver, ScrubBesideTrafficMatchesTheSerialOracle) {
+  // drive() publishes each epoch before its scrub pass, so the pass
+  // runs beside the epoch's requests; its findings must still land in
+  // the next boundary, as when the pass runs alone before the traffic.
+  // Dense arrivals on a small tile and a tiny pool, so that passes find
+  // rows every epoch and the boundaries retire and mark them.
+  const scenario_spec spec = scenario_spec::parse_text(R"({
+    "name": "serve-scrub-beside-traffic",
+    "geometry": {"rows_per_tile": 128},
+    "fault": {"polarity": "flip"},
+    "seeds": {"root": 5, "app": 7},
+    "scrub": {"interval": 1},
+    "retire": {"policy": "remap", "spare_rows": 3},
+    "serve": {"requests": 4000, "requests_per_epoch": 500,
+              "quality_percent": 10, "initial_faults": 2,
+              "arrivals_per_epoch": 12, "intermittent_cells": 6},
+    "schemes": ["none", "secded", "pecc"]})");
+  const service_snapshot oracle = serial_oracle(spec);
+  std::uint64_t boundary_actions = 0;
+  for (const auto& tile : oracle.tiles) {
+    boundary_actions += tile.life.ce_retirements + tile.life.ue_retirements +
+                        tile.life.marked_rows;
+  }
+  EXPECT_GT(boundary_actions, 0u);  // the findings reach a boundary
+  for (const std::uint32_t clients : {1u, 2u, 5u}) {
+    memory_service service(spec);
+    driver_config config = driver_config_from(spec);
+    config.clients = clients;
+    const drive_report report = drive(service, config);
+    EXPECT_EQ(report.counters.to_json().dump(), oracle.to_json().dump())
+        << "clients=" << clients;
+  }
 }
 
 TEST(ServiceDriver, ReferenceFaultPathIsBitIdentical) {
