@@ -8,10 +8,14 @@
 // and a fixed set of *intermittent* cells flips between active and
 // quiescent from epoch to epoch (aged cells near their critical
 // voltage, the reason a read retry can succeed where the first access
-// failed). The installed fault_map for an epoch is always rebuilt from
-// the persistent population plus the epoch's active intermittents, so
-// the compiled fault_plane path and the reference path see the same
-// injected reality.
+// failed). The installed fault_map of an epoch is the persistent
+// population plus the epoch's active intermittents. It is built once,
+// at construction or restore(); each advance() then patches it (and the
+// persistent map) with the epoch's delta — the arrivals and the
+// intermittents that turned on or off — and keeps that delta, so a
+// memory can install an epoch at the cost of what changed. The
+// compiled fault_plane path and the reference path see the same
+// injected reality either way.
 //
 // Everything is counter-based or stream-split off one seed: the same
 // (seed, epoch, attempt) triple always yields the same arrivals and the
@@ -66,6 +70,12 @@ class fault_timeline {
   /// array running out of healthy cells is a contract violation).
   std::uint32_t advance();
 
+  /// What the last advance() changed in current(): the arrivals plus
+  /// the intermittents that turned on (added), and the intermittents
+  /// that turned off (removed). Empty before the first advance and
+  /// after restore().
+  [[nodiscard]] const fault_delta& last_delta() const { return delta_; }
+
   /// Re-corrupts `stored` as one raw read of physical row `row` at the
   /// current epoch. Attempt 0 is bit-identical to
   /// current().corrupt(row, stored); attempts >= 1 re-roll only the
@@ -96,6 +106,7 @@ class fault_timeline {
   [[nodiscard]] bool intermittent_active(std::uint64_t cell_index,
                                          std::uint32_t epoch,
                                          std::uint32_t attempt) const;
+  /// Builds current_ from scratch (construction and restore()).
   void rebuild_current();
 
   array_geometry geometry_{};
@@ -111,6 +122,7 @@ class fault_timeline {
   /// checks binary-search them.
   std::vector<timeline_fault> intermittent_;
   fault_map current_;
+  fault_delta delta_;  ///< see last_delta()
 };
 
 }  // namespace urmem

@@ -85,6 +85,9 @@ struct lifecycle_counters {
 /// the timeline.
 class lifecycle_manager {
  public:
+  /// Also turns on the memory's kept residual count
+  /// (protected_memory::keep_residual_count), which the epoch steps and
+  /// retirements then maintain.
   lifecycle_manager(protected_memory& memory, fault_timeline timeline,
                     scrub_config scrub, retire_config retire);
 
@@ -102,8 +105,9 @@ class lifecycle_manager {
   /// byte-identical to the pre-split behavior.
 
   /// Ages the timeline one epoch and installs the new fault map (no
-  /// re-repair — see the header comment). Returns false when the
-  /// memory already fail-stopped.
+  /// re-repair — see the header comment): the whole map at the first
+  /// call, the timeline's last_delta() after that. Returns false when
+  /// the memory already fail-stopped.
   bool advance_epoch();
 
   /// True when the scrubber schedules a pass for the current epoch.
@@ -153,6 +157,9 @@ class lifecycle_manager {
   std::vector<bool> marked_;
   std::optional<std::uint32_t> failstop_epoch_;
   bool failed_ = false;
+  /// True once memory_ holds timeline_.current() (after the first
+  /// advance_epoch); from then on each epoch installs only its delta.
+  bool map_installed_ = false;
   std::vector<scrub_finding> findings_;  ///< per-pass scratch
 };
 

@@ -32,6 +32,7 @@ fault_timeline::fault_timeline(array_geometry geometry, timeline_config config)
 
 fault_timeline::fault_timeline(fault_map initial, timeline_config config)
     : fault_timeline(initial.geometry(), config) {
+  persistent_.reserve(initial.fault_count());
   for (const fault& f : initial.all_faults()) {
     persistent_.push_back(timeline_fault{f, 0, false});
   }
@@ -105,17 +106,42 @@ std::uint32_t fault_timeline::advance() {
   expects(persistent_.size() + intermittent_.size() + config_.arrivals_per_epoch <=
               geometry_.cells(),
           "fault timeline: no healthy cells left for this epoch's arrivals");
+  delta_.added.clear();
+  delta_.removed.clear();
+  // The arrivals collect ascending in delta_.added, where the draw
+  // checks them for occupancy like the older persistent cells; they
+  // join persistent_map_ in one merge afterwards.
+  std::vector<fault>& arrivals = delta_.added;
   for (std::uint32_t drawn = 0; drawn < config_.arrivals_per_epoch;) {
     const std::uint64_t pick = arrivals_gen_.uniform_below(geometry_.cells());
     const auto row = static_cast<std::uint32_t>(pick / geometry_.width);
     const auto col = static_cast<std::uint32_t>(pick % geometry_.width);
-    if (cell_occupied(row, col)) continue;
+    const fault probe{row, col, fault_kind::flip};
+    const auto slot =
+        std::lower_bound(arrivals.begin(), arrivals.end(), probe, fault_before);
+    if (cell_occupied(row, col) ||
+        (slot != arrivals.end() && slot->row == row && slot->col == col)) {
+      continue;
+    }
     const fault f{row, col, sample_fault_kind(arrivals_gen_, config_.polarity)};
     persistent_.push_back(timeline_fault{f, epoch_, false});
-    persistent_map_.add(f);
+    arrivals.insert(slot, f);
     ++drawn;
   }
-  rebuild_current();
+  persistent_map_.patch({}, arrivals);
+  // Only intermittents whose activity differs from the last epoch's
+  // change the installed map. Arrivals never land on an intermittent
+  // cell, so the two added runs are disjoint and one merge orders them.
+  const auto arrived = static_cast<std::ptrdiff_t>(arrivals.size());
+  for (const timeline_fault& record : intermittent_) {
+    const std::uint64_t cell = geometry_.cell_index(record.f.row, record.f.col);
+    const bool active = intermittent_active(cell, epoch_, 0);
+    if (active == intermittent_active(cell, epoch_ - 1, 0)) continue;
+    (active ? delta_.added : delta_.removed).push_back(record.f);
+  }
+  std::inplace_merge(delta_.added.begin(), delta_.added.begin() + arrived,
+                     delta_.added.end(), fault_before);
+  current_.patch(delta_.removed, delta_.added);
   return config_.arrivals_per_epoch;
 }
 

@@ -72,6 +72,7 @@ lifecycle_manager::lifecycle_manager(protected_memory& memory,
           "timeline geometry must match the memory's storage geometry");
   expects(retire.reliable_region < memory.regions().size(),
           "retire.reliable_region out of range");
+  memory_.keep_residual_count();
 }
 
 bool lifecycle_manager::step() {
@@ -85,9 +86,18 @@ bool lifecycle_manager::step() {
 bool lifecycle_manager::advance_epoch() {
   if (failed_) return false;
   counters_.injected_faults += timeline_.advance();
-  // In-place map swap: remaps, stored data and the scheme configuration
-  // all survive — only the injected reality moves.
-  memory_.update_fault_map(timeline_.current());
+  // In-place map update: remaps, stored data and the scheme
+  // configuration all survive — only the injected reality moves. The
+  // memory starts out holding the manufactured map, not the timeline's
+  // epoch-0 map (whose active intermittents were never installed), so
+  // the first boundary installs the whole map and every later one only
+  // the epoch's delta.
+  if (map_installed_) {
+    memory_.apply_fault_delta(timeline_.last_delta());
+  } else {
+    memory_.update_fault_map(timeline_.current());
+    map_installed_ = true;
+  }
   ++counters_.epochs;
   return true;
 }

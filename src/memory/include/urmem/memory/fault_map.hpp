@@ -77,6 +77,14 @@ class fault_map {
   /// O(1) when cells arrive in ascending (row, col) order, O(N) otherwise.
   void add(const fault& f);
 
+  /// Drops the `removed` cells and inserts the `added` ones in place:
+  /// one compaction pass and one merge from the back, which move only
+  /// the faults after the first changed cell. Both lists must be
+  /// strictly ascending (row, col); every removed cell must be in the
+  /// map and no added cell may be. A rejected delta leaves the map as
+  /// it was.
+  void patch(std::span<const fault> removed, std::span<const fault> added);
+
   /// Total number of failing cells N.
   [[nodiscard]] std::uint64_t fault_count() const { return faults_.size(); }
 
@@ -118,6 +126,32 @@ class fault_map {
  private:
   array_geometry geometry_{};
   std::vector<fault> faults_;  ///< ascending (row, col), one entry per cell
+};
+
+/// What one step changes in a fault map: the cells that start failing
+/// and the cells that stop, each strictly ascending (row, col), in the
+/// form fault_map::patch takes. A delta of ~10 cells lets an aging
+/// memory update its map, compiled planes and residual count per
+/// touched row instead of per fault.
+struct fault_delta {
+  std::vector<fault> added;
+  std::vector<fault> removed;
+
+  /// Calls `fn(row)` once per row holding an added or removed cell, in
+  /// ascending row order.
+  template <typename Fn>
+  void for_each_row(Fn&& fn) const {
+    auto a = added.begin();
+    auto r = removed.begin();
+    while (a != added.end() || r != removed.end()) {
+      const bool added_first =
+          r == removed.end() || (a != added.end() && a->row < r->row);
+      const std::uint32_t row = added_first ? a->row : r->row;
+      fn(row);
+      while (a != added.end() && a->row == row) ++a;
+      while (r != removed.end() && r->row == row) ++r;
+    }
+  }
 };
 
 /// Calls `fn(row, row_faults)` once per row present in `faults` — a

@@ -11,10 +11,11 @@
 //
 // sram_array compiles a plane from its fault map at construction and
 // recompiles it whenever set_faults installs a new map; a recompile
-// resets only the rows the bitmap flags, so it costs O(faults). The
-// per-fault walk fault_map::corrupt / apply_write is the debug oracle
-// that the property tests and the CI perf gate compare this fast path
-// against (outputs are bit-identical).
+// resets only the rows the bitmap flags, so it costs O(faults). An
+// epoch's fault delta (sram_array::patch_faults) recompiles only the
+// rows it touches. The per-fault walk fault_map::corrupt / apply_write
+// is the debug oracle that the property tests and the CI perf gate
+// compare this fast path against (outputs are bit-identical).
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,17 @@ class fault_plane {
   /// per-tile Monte-Carlo loop and costs O(rows / 64 + faults).
   void recompile(const fault_map& map);
 
+  /// Recompiles only the rows `delta` touches from `map`, the map after
+  /// the delta was patched in (fault_map::patch) — the lifecycle epoch
+  /// step, O(touched rows x log faults) instead of O(faults).
+  void recompile_rows(const fault_map& map, const fault_delta& delta);
+
   [[nodiscard]] const array_geometry& geometry() const { return geometry_; }
   [[nodiscard]] std::uint64_t fault_count() const { return fault_count_; }
+
+  /// Equal when every mask and the faulty-row bitmap agree — the test
+  /// oracle comparing a patched plane with a fresh compile.
+  friend bool operator==(const fault_plane&, const fault_plane&) = default;
 
   /// Read-visible corruption of `ideal` stored in `row`: three word ops.
   /// Bit-identical to fault_map::corrupt for width-masked input.
@@ -77,6 +87,12 @@ class fault_plane {
                         std::span<word_t> storage) const;
 
  private:
+  /// Resets `row`'s masks to the fault-free identity (its bitmap bit is
+  /// the caller's to clear).
+  void reset_row(std::size_t row);
+  /// ORs `f` into its row's masks and flags the row.
+  void add_fault(const fault& f);
+
   array_geometry geometry_{};
   word_t mask_ = 0;
   std::uint64_t fault_count_ = 0;

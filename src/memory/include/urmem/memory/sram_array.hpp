@@ -5,7 +5,8 @@
 // The array holds its fault map (the sparse sorted fault list) and one
 // compiled fault_plane (dense per-row bit-plane masks, see
 // fault_plane.hpp) that is recompiled whenever set_faults installs a new
-// map. Reads and writes go through the plane; the map's per-fault walk
+// map; patch_faults recompiles only the rows a fault delta touches.
+// Reads and writes go through the plane; the map's per-fault walk
 // (fault_map::corrupt / apply_write) is a switchable debug oracle
 // (fault_path::reference, or process-wide via URMEM_FAULT_PATH=reference)
 // and is bit-identical to the fast path.
@@ -34,9 +35,9 @@ enum class fault_path : std::uint8_t {
 /// Thread-safety audit (no locks by design): the array itself is not
 /// synchronized — callers serialize same-row access externally (the
 /// serving tier's per-row stripe locks) and must not overlap
-/// set_faults/set_fault_path/fill with traffic (the serving tier's
-/// exclusive epoch gate guarantees that). Distinct-row reads/writes
-/// touch disjoint data_ slots and are safe.
+/// set_faults/patch_faults/set_fault_path/fill with traffic (the
+/// serving tier's exclusive epoch gate guarantees that). Distinct-row
+/// reads/writes touch disjoint data_ slots and are safe.
 class sram_array {
  public:
   /// Fault-free array of the given geometry.
@@ -55,6 +56,11 @@ class sram_array {
   /// voltage) and recompiles the fault plane. Geometry must match;
   /// stored data is preserved.
   void set_faults(fault_map faults);
+
+  /// Patches `delta` into the installed map in place and recompiles only
+  /// the plane rows it touches; stored data is preserved. Leaves the
+  /// array exactly as set_faults would with the patched map.
+  void patch_faults(const fault_delta& delta);
 
   /// Selects the compiled fast path or the per-fault reference oracle for
   /// subsequent reads/writes. Both produce bit-identical results.

@@ -16,6 +16,29 @@ constexpr bool same_cell(const fault& a, const fault& b) {
   return a.row == b.row && a.col == b.col;
 }
 
+/// (row, col) packed so that key order is cell order.
+constexpr std::uint64_t cell_key(std::uint32_t row, std::uint32_t col) {
+  return (std::uint64_t{row} << 32) | col;
+}
+
+/// First fault in the sorted range [first, last) whose cell is not
+/// below `key`. Branch-free: the halving step is a conditional move, so
+/// a lookup costs no mispredicted branches. A patch makes two lookups
+/// per changed cell (one to check it, one to place it), which made
+/// std::lower_bound's compare-and-branch its largest cost.
+template <typename It>
+It first_not_below(It first, It last, std::uint64_t key) {
+  auto n = last - first;
+  if (n == 0) return first;
+  while (n > 1) {
+    const auto half = n / 2;
+    const fault& probe = first[half - 1];
+    first = cell_key(probe.row, probe.col) < key ? first + half : first;
+    n -= half;
+  }
+  return cell_key(first->row, first->col) < key ? first + 1 : first;
+}
+
 }  // namespace
 
 fault_map::fault_map(array_geometry geometry) : geometry_(geometry) {
@@ -56,6 +79,54 @@ void fault_map::add(const fault& f) {
     it->kind = f.kind;
   } else {
     faults_.insert(it, f);
+  }
+}
+
+void fault_map::patch(std::span<const fault> removed,
+                      std::span<const fault> added) {
+  // Check the whole delta before moving anything, so a rejected patch
+  // leaves the map as it was.
+  const auto key = [](const fault& f) { return cell_key(f.row, f.col); };
+  const auto present = [&](const fault& f) {
+    const auto it = first_not_below(faults_.begin(), faults_.end(), key(f));
+    return it != faults_.end() && same_cell(*it, f);
+  };
+  for (std::size_t i = 0; i < removed.size(); ++i) {
+    expects(i == 0 || cell_before(removed[i - 1], removed[i]),
+            "removed cells must be strictly ascending");
+    expects(present(removed[i]), "removed cell is not in the map");
+  }
+  for (std::size_t i = 0; i < added.size(); ++i) {
+    expects(added[i].row < geometry_.rows, "fault row out of range");
+    expects(added[i].col < geometry_.width, "fault column out of range");
+    expects(i == 0 || cell_before(added[i - 1], added[i]),
+            "added cells must be strictly ascending");
+    expects(!present(added[i]), "added cell is already in the map");
+  }
+  // Removal: each run of survivors between two removed cells slides
+  // left over the gaps as one block move.
+  if (!removed.empty()) {
+    auto out =
+        first_not_below(faults_.begin(), faults_.end(), key(removed.front()));
+    auto in = out + 1;
+    for (const fault& gone : removed.subspan(1)) {
+      const auto at = first_not_below(in, faults_.end(), key(gone));
+      out = std::move(in, at, out);
+      in = at + 1;
+    }
+    faults_.erase(std::move(in, faults_.end(), out), faults_.end());
+  }
+  // Insertion from the back: grow, then each run of faults above an
+  // added cell moves right, as one block, straight to its final slot.
+  const auto kept = static_cast<std::ptrdiff_t>(faults_.size());
+  faults_.resize(faults_.size() + added.size());
+  auto src = faults_.begin() + kept;
+  auto dst = faults_.end();
+  for (auto next = added.rbegin(); next != added.rend(); ++next) {
+    const auto at = first_not_below(faults_.begin(), src, key(*next));
+    dst = std::move_backward(at, src, dst);
+    src = at;
+    *--dst = *next;
   }
 }
 

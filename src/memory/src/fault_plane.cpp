@@ -18,32 +18,48 @@ fault_plane::fault_plane(const fault_map& map)
   recompile(map);
 }
 
+inline void fault_plane::reset_row(std::size_t row) {
+  and_[row] = mask_;
+  or_[row] = 0;
+  xor_[row] = 0;
+  tf_up_[row] = 0;
+  tf_down_[row] = 0;
+}
+
+inline void fault_plane::add_fault(const fault& f) {
+  const word_t bit = word_t{1} << f.col;
+  switch (f.kind) {
+    case fault_kind::stuck_at_zero: and_[f.row] &= ~bit; break;
+    case fault_kind::stuck_at_one: or_[f.row] |= bit; break;
+    case fault_kind::flip: xor_[f.row] |= bit; break;
+    case fault_kind::transition_up_fail: tf_up_[f.row] |= bit; break;
+    case fault_kind::transition_down_fail: tf_down_[f.row] |= bit; break;
+  }
+  faulty_rows_[f.row / 64] |= word_t{1} << (f.row % 64);
+}
+
 void fault_plane::recompile(const fault_map& map) {
   expects(map.geometry() == geometry_, "fault plane geometry mismatch");
   // Clear by list: only rows the bitmap flags hold non-identity masks.
   for (std::size_t w = 0; w < faulty_rows_.size(); ++w) {
     for (word_t bits = faulty_rows_[w]; bits != 0; bits &= bits - 1) {
-      const std::size_t row = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      and_[row] = mask_;
-      or_[row] = 0;
-      xor_[row] = 0;
-      tf_up_[row] = 0;
-      tf_down_[row] = 0;
+      reset_row(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
     }
     faulty_rows_[w] = 0;
   }
   fault_count_ = map.fault_count();
-  for (const fault& f : map.all_faults()) {
-    const word_t bit = word_t{1} << f.col;
-    switch (f.kind) {
-      case fault_kind::stuck_at_zero: and_[f.row] &= ~bit; break;
-      case fault_kind::stuck_at_one: or_[f.row] |= bit; break;
-      case fault_kind::flip: xor_[f.row] |= bit; break;
-      case fault_kind::transition_up_fail: tf_up_[f.row] |= bit; break;
-      case fault_kind::transition_down_fail: tf_down_[f.row] |= bit; break;
-    }
-    faulty_rows_[f.row / 64] |= word_t{1} << (f.row % 64);
-  }
+  for (const fault& f : map.all_faults()) add_fault(f);
+}
+
+void fault_plane::recompile_rows(const fault_map& map,
+                                 const fault_delta& delta) {
+  expects(map.geometry() == geometry_, "fault plane geometry mismatch");
+  delta.for_each_row([&](std::uint32_t row) {
+    reset_row(row);
+    faulty_rows_[row / 64] &= ~(word_t{1} << (row % 64));
+    for (const fault& f : map.faults_in_row(row)) add_fault(f);
+  });
+  fault_count_ = map.fault_count();
 }
 
 bool fault_plane::rows_fault_free(std::uint32_t first, std::size_t count) const {

@@ -24,6 +24,11 @@ void sram_array::set_faults(fault_map faults) {
   plane_.recompile(faults_);
 }
 
+void sram_array::patch_faults(const fault_delta& delta) {
+  faults_.patch(delta.removed, delta.added);
+  plane_.recompile_rows(faults_, delta);
+}
+
 fault_path sram_array::default_fault_path() {
   static const fault_path path = [] {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read exactly once, inside a

@@ -107,6 +107,12 @@ class protected_memory {
   /// scheme configuration all survive, only the fault population moves.
   void update_fault_map(fault_map faults);
 
+  /// update_fault_map for a map that differs from the installed one by
+  /// `delta` (cells that start and stop failing): patches the array's
+  /// map in place and recompiles and recounts only the rows the delta
+  /// touches, so an epoch costs what changed, not what has accumulated.
+  void apply_fault_delta(const fault_delta& delta);
+
   /// Retires logical `row` onto an unused fault-free spare from its own
   /// region's pool, storing `data` (re-encoded) there — the runtime
   /// row-retirement step layered above ECC. Spares age like data rows:
@@ -197,15 +203,37 @@ class protected_memory {
   [[nodiscard]] double analytic_mse(std::uint32_t first, std::uint32_t last) const;
 
   /// Number of logical rows whose current fault population exceeds the
-  /// scheme's correction guarantee (nonzero analytic residual) — the
-  /// exact integer behind the serving tier's quality_query. Depends
-  /// only on the installed fault map and remap table, so it is a pure
-  /// function of the lifecycle epoch.
+  /// scheme's correction guarantee (nonzero analytic residual), by a
+  /// full walk of the faulty rows — the oracle for kept_residual_rows(),
+  /// the same integer that the serving tier's quality_query reads.
+  /// Depends only on the installed fault map and remap table, so it is
+  /// a pure function of the lifecycle epoch.
   [[nodiscard]] std::uint64_t residual_rows() const;
+
+  /// Starts keeping residual_rows() as a per-row count: one full count
+  /// now, O(faults), after which update_fault_map and set_fault_map
+  /// recount, apply_fault_delta recounts the rows its delta touches and
+  /// a retirement clears its row. A lifecycle memory turns this on once;
+  /// a campaign's per-trial set_fault_map never pays for it.
+  void keep_residual_count();
+
+  /// The kept count, equal to residual_rows() without the walk. Requires
+  /// keep_residual_count().
+  [[nodiscard]] std::uint64_t kept_residual_rows() const;
 
  private:
   /// Physical row serving logical `row` (identity unless remapped).
   [[nodiscard]] std::uint32_t physical_row(std::uint32_t row) const;
+
+  /// True when logical `row` counts toward residual_rows(): it is not
+  /// remapped and `row_faults` (its faults) exceed the scheme's guarantee.
+  [[nodiscard]] bool row_residual(std::uint32_t row,
+                                  std::span<const fault> row_faults) const;
+
+  /// Rebuilds the kept count from the installed map (no-op unless kept).
+  void recount_residual();
+  /// Re-evaluates logical `row` in the kept count.
+  void recount_row(std::uint32_t row);
 
   /// One-word encode on the path set_fault_path selected.
   [[nodiscard]] word_t encode_word(std::uint32_t row, word_t data) const;
@@ -222,6 +250,10 @@ class protected_memory {
   /// Per-spare consumption flags, indexed by (physical - logical_rows_);
   /// set by manufacture repair and runtime retirement alike.
   std::vector<bool> spare_used_;
+  /// Per logical row: counted in residual_count_. Empty unless
+  /// keep_residual_count() was called.
+  std::vector<bool> residual_row_;
+  std::uint64_t residual_count_ = 0;
 };
 
 }  // namespace urmem

@@ -66,6 +66,7 @@ void protected_memory::set_fault_map(fault_map faults) {
   if (spare_rows_ == 0) {
     scheme_->configure(faults);
     array_.set_faults(std::move(faults));
+    recount_residual();
     return;
   }
   // Fuse stage first, one pass per region: remap the region's faulty
@@ -123,11 +124,21 @@ void protected_memory::set_fault_map(fault_map faults) {
   }
   scheme_->configure(residual);
   array_.set_faults(std::move(faults));
+  recount_residual();
 }
 
 void protected_memory::update_fault_map(fault_map faults) {
   expects(faults.geometry() == storage_geometry(), "fault map geometry mismatch");
   array_.set_faults(std::move(faults));
+  recount_residual();
+}
+
+void protected_memory::apply_fault_delta(const fault_delta& delta) {
+  array_.patch_faults(delta);
+  if (residual_row_.empty()) return;
+  delta.for_each_row([&](std::uint32_t row) {
+    if (row < logical_rows_) recount_row(row);
+  });
 }
 
 std::size_t protected_memory::region_of(std::uint32_t row) const {
@@ -201,6 +212,7 @@ std::optional<std::uint32_t> protected_memory::retire_row_to_region(
     } else {
       remaps_.insert(it, {row, physical});
     }
+    if (!residual_row_.empty()) recount_row(row);
     return physical;
   }
   return std::nullopt;
@@ -337,24 +349,62 @@ double protected_memory::analytic_mse(std::uint32_t first,
   return total / static_cast<double>(last - first + 1);
 }
 
-std::uint64_t protected_memory::residual_rows() const {
-  const fault_map& faults = array_.faults();
-  static thread_local std::vector<std::uint32_t> cols;
-  static thread_local std::vector<std::uint32_t> bits;
-  std::uint64_t degraded = 0;
+bool protected_memory::row_residual(std::uint32_t row,
+                                    std::span<const fault> row_faults) const {
   // Same visibility rule as analytic_mse: faulty spares and retired
   // (remapped) data rows contribute nothing to the address space.
+  if (row_faults.empty() || physical_row(row) != row) return false;
+  static thread_local std::vector<std::uint32_t> cols;
+  static thread_local std::vector<std::uint32_t> bits;
+  cols.clear();
+  for (const fault& f : row_faults) cols.push_back(f.col);
+  bits.clear();
+  scheme_->residual_fault_bits(row, cols, bits);
+  return !bits.empty();
+}
+
+std::uint64_t protected_memory::residual_rows() const {
+  std::uint64_t degraded = 0;
   for_each_faulty_row(
-      faults.faults_in_rows(0, logical_rows_),
+      array_.faults().faults_in_rows(0, logical_rows_),
       [&](std::uint32_t row, std::span<const fault> row_faults) {
-        if (physical_row(row) != row) return;
-        cols.clear();
-        for (const fault& f : row_faults) cols.push_back(f.col);
-        bits.clear();
-        scheme_->residual_fault_bits(row, cols, bits);
-        if (!bits.empty()) ++degraded;
+        if (row_residual(row, row_faults)) ++degraded;
       });
   return degraded;
+}
+
+void protected_memory::keep_residual_count() {
+  residual_row_.resize(logical_rows_);
+  recount_residual();
+}
+
+std::uint64_t protected_memory::kept_residual_rows() const {
+  expects(!residual_row_.empty(), "keep_residual_count() was not called");
+  return residual_count_;
+}
+
+void protected_memory::recount_residual() {
+  if (residual_row_.empty()) return;
+  residual_row_.assign(logical_rows_, false);
+  residual_count_ = 0;
+  for_each_faulty_row(
+      array_.faults().faults_in_rows(0, logical_rows_),
+      [&](std::uint32_t row, std::span<const fault> row_faults) {
+        if (!row_residual(row, row_faults)) return;
+        residual_row_[row] = true;
+        ++residual_count_;
+      });
+}
+
+void protected_memory::recount_row(std::uint32_t row) {
+  const bool now = row_residual(row, array_.faults().faults_in_row(row));
+  if (now == residual_row_[row]) return;
+  residual_row_[row] = now;
+  if (now) {
+    ++residual_count_;
+  } else {
+    --residual_count_;
+  }
 }
 
 }  // namespace urmem

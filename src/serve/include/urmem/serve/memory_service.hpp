@@ -26,8 +26,11 @@
 //    logical->physical mapping and the fault map are therefore
 //    constant within an epoch, and any request's outcome is a pure
 //    function of (row, epoch). So is a quality query's residual row
-//    count: each tile counts it once per epoch, on the epoch's first
-//    query, and every later query of the epoch adds the cached value.
+//    count: each tile's memory keeps it per row
+//    (protected_memory::keep_residual_count), and the window updates
+//    it only for the rows the epoch's fault delta or a retirement
+//    touched, so the window costs what changed, not what has
+//    accumulated. A query reads the count and walks no rows.
 //
 //  * Stores always write the service's canonical word for the row (the
 //    authoritative copy a real serving tier refreshes from), and the

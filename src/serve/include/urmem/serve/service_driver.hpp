@@ -59,6 +59,16 @@ struct driver_config {
 /// The spec's serve section + seed policy as a driver_config.
 [[nodiscard]] driver_config driver_config_from(const scenario_spec& spec);
 
+/// Count, summed and longest wall time of one kind of admin step.
+struct step_timing {
+  std::uint64_t count = 0;
+  double total_seconds = 0.0;
+  double max_seconds = 0.0;
+
+  void record(double seconds);
+  [[nodiscard]] json_value to_json() const;
+};
+
 /// What one drive() run measured.
 struct drive_report {
   service_snapshot counters;   ///< deterministic at any client count
@@ -66,9 +76,16 @@ struct drive_report {
   std::uint64_t executed = 0;  ///< requests actually issued
   double wall_seconds = 0.0;
   double requests_per_second = 0.0;
+  /// The epoch boundaries' exclusive windows
+  /// (memory_service::advance_epoch), which every client waits for.
+  step_timing windows;
+  /// The scrubs run beside each epoch's traffic
+  /// (memory_service::scrub_epoch), one per boundary.
+  step_timing scrubs;
 
   /// Counters (golden-stable) plus a latency/throughput section (wall
-  /// clock, never golden-diffed).
+  /// clock, never golden-diffed) that also holds the window and scrub
+  /// timings.
   [[nodiscard]] json_value to_json() const;
 };
 

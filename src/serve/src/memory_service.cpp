@@ -14,8 +14,8 @@
 namespace urmem {
 
 /// One hot tile: the protected memory, its lifecycle manager, the
-/// deferred scrub findings of the in-flight epoch, the cached residual
-/// count, and the traffic counters sharded by client slot.
+/// deferred scrub findings of the in-flight epoch and the traffic
+/// counters sharded by client slot.
 ///
 /// `memory`, `manager` and `alive` follow the service's gate
 /// discipline — mutated only inside the exclusive boundary window
@@ -36,16 +36,6 @@ struct memory_service::tile {
   std::vector<scrub_finding> findings URMEM_GUARDED_BY(findings_mutex);
   scrub_hooks hooks;
   bool alive = true;  ///< false after fail-stop: no more aging or scrubbing
-  /// memory.residual_rows() for the current epoch, or `uncounted`:
-  /// filled by the epoch's first quality query, reset at the end of
-  /// every boundary. Between boundaries the fault map and the remaps are
-  /// frozen (the concurrent scrub pass only reads and rewrites words, and
-  /// residual_fault_bits reads no data), so every query of the epoch —
-  /// including several racing to fill the cache — sees the same exact
-  /// count. Counting lazily keeps the walk off the boundary, which
-  /// traffic waits for, when no quality query comes.
-  static constexpr std::uint64_t uncounted = ~std::uint64_t{0};
-  std::atomic<std::uint64_t> residual_rows{uncounted};
 
   /// One client slot's traffic counters, exactly one cache line, so
   /// clients on distinct slots never write a common line. Relaxed
@@ -69,16 +59,6 @@ struct memory_service::tile {
        std::vector<memory_region> regions)
       : name(std::move(name_)),
         memory(rows, std::move(scheme), std::move(regions)) {}
-
-  /// The epoch's residual row count (shared gate held).
-  [[nodiscard]] std::uint64_t residual() {
-    std::uint64_t count = residual_rows.load(std::memory_order_relaxed);
-    if (count == uncounted) {
-      count = memory.residual_rows();
-      residual_rows.store(count, std::memory_order_relaxed);
-    }
-    return count;
-  }
 
   [[nodiscard]] tile_traffic_counters traffic() const {
     constexpr auto relaxed = std::memory_order_relaxed;
@@ -206,7 +186,12 @@ void memory_service::quality_query() {
   for (const auto& entry : tiles_) {
     tile::traffic_shard& shard = entry->shards[slot];
     shard.quality_queries.fetch_add(1, std::memory_order_relaxed);
-    shard.degraded_rows_seen.fetch_add(entry->residual(),
+    // The memory keeps the count current at every boundary (the
+    // lifecycle manager turned it on), and between boundaries the fault
+    // map and the remaps are frozen: the concurrent scrub pass only
+    // reads and rewrites words, and the count reads no data. So every
+    // query of the epoch reads the same exact value.
+    shard.degraded_rows_seen.fetch_add(entry->memory.kept_residual_rows(),
                                        std::memory_order_relaxed);
   }
 }
@@ -224,9 +209,6 @@ void memory_service::apply_boundary(bool advance) {
     if (advance && entry->alive && !entry->manager->advance_epoch()) {
       entry->alive = false;
     }
-    // Reset even after a fail-stop: findings applied before it may
-    // already have remapped rows.
-    entry->residual_rows.store(tile::uncounted, std::memory_order_relaxed);
   }
 }
 

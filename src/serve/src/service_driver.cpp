@@ -185,6 +185,15 @@ drive_report drive(memory_service& service, const driver_config& config) {
   // published right after the exclusive window, and its scrub runs
   // beside its traffic; the next window follows the scrub on this
   // thread, so the scrub's findings still land in the next boundary.
+  step_timing windows;
+  step_timing scrubs;
+  const auto timed_call = [](step_timing& timing, auto&& step) {
+    const auto begin = std::chrono::steady_clock::now();
+    step();
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - begin;
+    timing.record(took.count());
+  };
   auto admin_loop = [&] {
     const std::uint64_t boundaries =
         (per_epoch == 0 || total == 0) ? 0 : (total - 1) / per_epoch;
@@ -201,14 +210,14 @@ drive_report drive(memory_service& service, const driver_config& config) {
         }
         if (pace.stop) return;
       }
-      service.advance_epoch();
+      timed_call(windows, [&] { service.advance_epoch(); });
       {
         ts_lock_guard lock(pace.mutex);
         pace.epoch_done = epoch;
         pace.epoch_ready.store(epoch, std::memory_order_release);
       }
       pace.published.notify_all();
-      service.scrub_epoch();
+      timed_call(scrubs, [&] { service.scrub_epoch(); });
     }
   };
 
@@ -241,6 +250,8 @@ drive_report drive(memory_service& service, const driver_config& config) {
     report.latency.merge(state.histogram);
   }
   report.executed = completed_total();
+  report.windows = windows;
+  report.scrubs = scrubs;
   const auto end = std::chrono::steady_clock::now();
   report.wall_seconds =
       std::chrono::duration<double>(end - start).count();
@@ -249,6 +260,20 @@ drive_report drive(memory_service& service, const driver_config& config) {
           ? static_cast<double>(report.executed) / report.wall_seconds
           : 0.0;
   return report;
+}
+
+void step_timing::record(double seconds) {
+  ++count;
+  total_seconds += seconds;
+  max_seconds = std::max(max_seconds, seconds);
+}
+
+json_value step_timing::to_json() const {
+  json_value doc = json_value::make_object();
+  doc.set("count", count);
+  doc.set("total_seconds", total_seconds);
+  doc.set("max_seconds", max_seconds);
+  return doc;
 }
 
 json_value drive_report::to_json() const {
@@ -265,6 +290,8 @@ json_value drive_report::to_json() const {
   latency_json.set("p999_ns", latency.quantile(0.999));
   latency_json.set("min_ns", latency.min());
   latency_json.set("max_ns", latency.max());
+  latency_json.set("epoch_windows", windows.to_json());
+  latency_json.set("scrubs", scrubs.to_json());
   doc.set("latency", std::move(latency_json));
   return doc;
 }

@@ -12,6 +12,8 @@
 #include "urmem/lifecycle/fault_timeline.hpp"
 #include "urmem/lifecycle/lifecycle_manager.hpp"
 #include "urmem/lifecycle/scrubber.hpp"
+#include "urmem/memory/fault_plane.hpp"
+#include "urmem/memory/fault_sampler.hpp"
 #include "urmem/scenario/scenario_runner.hpp"
 #include "urmem/scenario/scenario_spec.hpp"
 #include "urmem/scheme/protected_memory.hpp"
@@ -458,6 +460,76 @@ TEST(LifecycleManagerTest, CompiledAndReferencePathsAgree) {
     const read_result rb = reference.read(row);
     EXPECT_EQ(ra.data, rb.data) << "row " << row;
     EXPECT_EQ(ra.status, rb.status) << "row " << row;
+  }
+}
+
+TEST(LifecycleManagerTest, EpochDeltasMatchAFullInstall) {
+  // Each boundary after the first patches the memory with the epoch's
+  // fault delta. After every one of 200 boundaries the memory must hold
+  // exactly the timeline's map, a plane equal to a fresh compile of it,
+  // and a kept residual count equal to the full walk — across spares,
+  // intermittents, both write-idempotent polarities and all three
+  // degradation policies (whose retirements also move the count). A
+  // fail-stopped memory stops aging, and the checks still hold after.
+  for (const fault_polarity polarity :
+       {fault_polarity::flip, fault_polarity::random_stuck}) {
+    for (const degrade_policy policy :
+         {degrade_policy::remap, degrade_policy::mark,
+          degrade_policy::failstop}) {
+      SCOPED_TRACE(std::string(to_string(polarity)) + " / " +
+                   std::string(to_string(policy)));
+      std::vector<memory_region> regions;
+      regions.push_back({0, 255, 24, 0});
+      regions.push_back({256, 511, 2, 0});
+      protected_memory memory(512, make_scheme_pecc(), std::move(regions));
+      rng gen(make_stream_rng(23, stream_tag("delta-test")));
+      fault_map initial = sample_fault_map_exact(memory.storage_geometry(), 12,
+                                                 gen, polarity);
+      memory.set_fault_map(initial);
+      for (std::uint32_t row = 0; row < 512; ++row) {
+        memory.write(row, row * 0x9E3779B1u);
+      }
+      timeline_config config;
+      config.arrivals_per_epoch = 8;
+      config.intermittent_cells = 6;
+      config.polarity = polarity;
+      config.seed = 91;
+      retire_config retire;
+      retire.policy = policy;
+      // Proactive retirement drains the pools before any row goes hard,
+      // so only the mark run spends spares on correctable rows.
+      const bool retire_correctable = policy == degrade_policy::mark;
+      lifecycle_manager manager(memory,
+                                fault_timeline(std::move(initial), config),
+                                scrub_config{1, 0, retire_correctable}, retire);
+      ASSERT_EQ(memory.kept_residual_rows(), memory.residual_rows());
+      for (int boundary = 1; boundary <= 200; ++boundary) {
+        SCOPED_TRACE(boundary);
+        manager.step();
+        const fault_map& expected = manager.timeline().current();
+        ASSERT_TRUE(std::ranges::equal(memory.array().faults().all_faults(),
+                                       expected.all_faults()));
+        ASSERT_TRUE(memory.array().plane() == fault_plane(expected));
+        ASSERT_EQ(memory.kept_residual_rows(), memory.residual_rows());
+      }
+      const lifecycle_counters& counters = manager.counters();
+      switch (policy) {
+        case degrade_policy::remap:
+          EXPECT_GT(counters.ue_retirements, 0u);
+          EXPECT_GT(counters.cross_region_remaps, 0u);
+          EXPECT_EQ(counters.epochs, 200u);
+          break;
+        case degrade_policy::mark:
+          EXPECT_GT(counters.ce_retirements, 0u);
+          EXPECT_GT(counters.marked_rows, 0u);
+          EXPECT_EQ(counters.epochs, 200u);
+          break;
+        case degrade_policy::failstop:
+          EXPECT_GT(counters.ue_retirements, 0u);
+          EXPECT_TRUE(manager.failed());
+          break;
+      }
+    }
   }
 }
 

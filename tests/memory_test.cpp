@@ -9,6 +9,7 @@
 
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/memory/fault_map.hpp"
+#include "urmem/memory/fault_plane.hpp"
 #include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
 
@@ -108,6 +109,112 @@ TEST(FaultMapTest, AscendingInputEqualsTheSortedBuild) {
                                    {64, 0, fault_kind::flip}};
   EXPECT_THROW(fault_map(geometry, bad_col), std::invalid_argument);
   EXPECT_THROW(fault_map(geometry, bad_row), std::invalid_argument);
+}
+
+// Patches `before` with (removed, added) three ways — the map alone, and
+// an array's map plus its compiled plane — and compares each with a map
+// rebuilt from the expected fault list and a fresh plane compile of it.
+void expect_patch_equals_rebuild(const fault_map& before,
+                                 const std::vector<fault>& removed,
+                                 const std::vector<fault>& added) {
+  std::vector<fault> expected;
+  for (const fault& f : before.all_faults()) {
+    const bool gone = std::ranges::any_of(removed, [&](const fault& r) {
+      return r.row == f.row && r.col == f.col;
+    });
+    if (!gone) expected.push_back(f);
+  }
+  expected.insert(expected.end(), added.begin(), added.end());
+  const fault_map rebuilt(before.geometry(), expected);
+
+  fault_map patched = before;
+  patched.patch(removed, added);
+  EXPECT_TRUE(std::ranges::equal(patched.all_faults(), rebuilt.all_faults()));
+
+  sram_array array(before);
+  array.patch_faults(fault_delta{added, removed});
+  EXPECT_TRUE(
+      std::ranges::equal(array.faults().all_faults(), rebuilt.all_faults()));
+  EXPECT_TRUE(array.plane() == fault_plane(rebuilt));
+}
+
+TEST(FaultMapTest, PatchEqualsARebuiltMap) {
+  const array_geometry geometry{64, 16};
+  rng gen(27);
+  const auto random_fault = [&](std::uint32_t first_row, std::uint32_t rows) {
+    fault f;
+    f.row = first_row + static_cast<std::uint32_t>(gen.uniform_below(rows));
+    f.col = static_cast<std::uint32_t>(gen.uniform_below(16));
+    f.kind = static_cast<fault_kind>(gen.uniform_below(5));
+    return f;
+  };
+  // Rows 0 and 63 stay empty, so cells there sort before the first and
+  // after the last fault.
+  fault_map base(geometry);
+  for (int i = 0; i < 200; ++i) base.add(random_fault(1, 62));
+  const std::span<const fault> all = base.all_faults();
+  const std::vector<fault> none;
+
+  expect_patch_equals_rebuild(base, none, none);
+  // The first and the last cell, removed and added.
+  expect_patch_equals_rebuild(base, {all.front()}, none);
+  expect_patch_equals_rebuild(base, {all.back()}, none);
+  expect_patch_equals_rebuild(base, none, {{0, 0, fault_kind::flip}});
+  expect_patch_equals_rebuild(base, none, {{63, 15, fault_kind::stuck_at_one}});
+  expect_patch_equals_rebuild(base, {all.front()}, {{0, 0, fault_kind::flip}});
+  // A whole row: every fault of a faulty row out, all 16 cells of an
+  // empty row in.
+  const std::uint32_t faulty = all[all.size() / 2].row;
+  const std::span<const fault> row_faults = base.faults_in_row(faulty);
+  const std::vector<fault> faulty_row(row_faults.begin(), row_faults.end());
+  std::vector<fault> whole_row;
+  for (std::uint32_t col = 0; col < 16; ++col) {
+    whole_row.push_back({63, col, fault_kind::stuck_at_zero});
+  }
+  expect_patch_equals_rebuild(base, faulty_row, none);
+  expect_patch_equals_rebuild(base, faulty_row, whole_row);
+  // Everything out, and an empty map filled.
+  const std::vector<fault> every(all.begin(), all.end());
+  expect_patch_equals_rebuild(base, every, whole_row);
+  expect_patch_equals_rebuild(fault_map(geometry), none, every);
+
+  // Random sorted deltas over random maps.
+  for (int trial = 0; trial < 50; ++trial) {
+    fault_map before(geometry);
+    const auto count = gen.uniform_below(300);
+    for (std::uint64_t i = 0; i < count; ++i) before.add(random_fault(0, 64));
+    std::vector<fault> removed;
+    for (const fault& f : before.all_faults()) {
+      if (gen.uniform_below(4) == 0) removed.push_back(f);
+    }
+    fault_map absent(geometry);
+    for (int i = 0; i < 30; ++i) {
+      const fault f = random_fault(0, 64);
+      const auto same_col = [&](const fault& g) { return g.col == f.col; };
+      if (std::ranges::none_of(before.faults_in_row(f.row), same_col)) {
+        absent.add(f);
+      }
+    }
+    const std::vector<fault> added(absent.all_faults().begin(),
+                                   absent.all_faults().end());
+    SCOPED_TRACE(trial);
+    expect_patch_equals_rebuild(before, removed, added);
+  }
+
+  // Contract: removed cells must be present, added cells absent, and
+  // both lists strictly ascending.
+  fault_map map = base;
+  const std::vector<fault> present{all.front()};
+  const std::vector<fault> absent{{0, 0, fault_kind::flip}};
+  const std::vector<fault> descending{{63, 1, fault_kind::flip},
+                                      {63, 0, fault_kind::flip}};
+  const std::vector<fault> outside{{64, 0, fault_kind::flip}};
+  EXPECT_THROW(map.patch({}, present), std::invalid_argument);
+  EXPECT_THROW(map.patch(absent, {}), std::invalid_argument);
+  EXPECT_THROW(map.patch({}, descending), std::invalid_argument);
+  EXPECT_THROW(map.patch({}, outside), std::invalid_argument);
+  // A rejected delta leaves the map as it was.
+  EXPECT_TRUE(std::ranges::equal(map.all_faults(), base.all_faults()));
 }
 
 // ---------------------------------------------------------------------

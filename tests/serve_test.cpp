@@ -194,6 +194,32 @@ TEST(ServiceDriver, CountersAreClientCountInvariant) {
   EXPECT_FALSE(baseline.empty());
 }
 
+TEST(ServiceDriver, ReportTimesWindowsAndScrubsOutsideTheCounters) {
+  // One exclusive window and one scrub beside traffic per boundary; the
+  // wall-clock timings live in the latency section only, so the
+  // golden-diffed counters never see them.
+  const scenario_spec spec = serve_spec_text();
+  memory_service service(spec);
+  const drive_report report = drive(service, driver_config_from(spec));
+  for (const step_timing& steps : {report.windows, report.scrubs}) {
+    EXPECT_EQ(steps.count, report.counters.epoch_steps);
+    EXPECT_GT(steps.max_seconds, 0.0);
+    EXPECT_GE(steps.total_seconds, steps.max_seconds);
+  }
+  const json_value doc = report.to_json();
+  const json_value* latency = doc.find("latency");
+  ASSERT_NE(latency, nullptr);
+  for (const char* key : {"epoch_windows", "scrubs"}) {
+    const json_value* steps = latency->find(key);
+    ASSERT_NE(steps, nullptr) << key;
+    ASSERT_NE(steps->find("count"), nullptr) << key;
+    EXPECT_EQ(steps->find("count")->as_u64(), 4u) << key;
+  }
+  const std::string counters = report.counters.to_json().dump();
+  EXPECT_EQ(counters.find("windows"), std::string::npos);
+  EXPECT_EQ(counters.find("seconds"), std::string::npos);
+}
+
 /// The serial oracle of drive(): request indices in order on this
 /// thread, drawn from drive()'s traffic streams, with a whole
 /// step_epoch() (window, then scrub) before each later epoch's first

@@ -5,8 +5,10 @@
 // with a closed-loop concurrent client pool while the fault lifecycle
 // ages the tiles live: background scrub passes overlap request traffic
 // and retirements land at epoch boundaries. Prints per-tile outcome
-// counters (bit-identical at any --clients value) plus throughput and
-// p50/p99/p99.9 service latency (wall clock — never golden-diffed).
+// counters (bit-identical at any --clients value) plus throughput,
+// p50/p99/p99.9 service latency and the summed and longest wall time of
+// the epoch windows and of the scrubs beside traffic (wall clock —
+// never golden-diffed).
 //
 // Usage:
 //   urmem-serve [spec.json] [key=value ...] [flags]
@@ -45,7 +47,8 @@ constexpr std::string_view usage =
     "  --requests=M       request budget (overrides serve.requests)\n"
     "  --duration=SECS    stop issuing after SECS seconds even with budget\n"
     "                     left (counters stay exact but depend on timing)\n"
-    "  --out=FILE         write the full JSON report (counters + latency)\n"
+    "  --out=FILE         write the full JSON report (counters + latency,\n"
+    "                     window and scrub timings)\n"
     "  --counters-out=FILE  write only the deterministic counter section\n"
     "                     (the golden-diffable part)\n"
     "  --print-spec       print the normalized spec JSON and exit\n"
@@ -172,6 +175,14 @@ int main(int argc, char** argv) {
               << report.latency.quantile(0.99) << " ns, p99.9 "
               << report.latency.quantile(0.999) << " ns, max "
               << report.latency.max() << " ns\n";
+    const auto print_steps = [](const char* label, const step_timing& steps) {
+      std::cout << label << " " << steps.count << ", total "
+                << format_double(1e3 * steps.total_seconds, 3) << " ms, max "
+                << format_double(1e3 * steps.max_seconds, 3) << " ms";
+    };
+    print_steps("epoch windows", report.windows);
+    print_steps("; scrubs beside traffic", report.scrubs);
+    std::cout << "\n";
 
     const std::string out_path = parsed->value_or("--out");
     const std::string counters_path = parsed->value_or("--counters-out");
