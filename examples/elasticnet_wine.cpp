@@ -26,10 +26,12 @@ int main() {
     double total = 0.0;
     const int repeats = 5;
     rng gen(42);
+    const storage_config storage;
+    const fault_injector inject =
+        binomial_fault_injector(tile_storage_geometry(storage, factory), pcell);
     for (int i = 0; i < repeats; ++i) {
-      const matrix stored =
-          store_and_readback(app->train_features(), storage_config{}, factory,
-                             binomial_fault_injector(pcell), gen);
+      const matrix stored = store_and_readback(app->train_features(), storage,
+                                               factory, inject, gen);
       total += app->evaluate(stored);
     }
     return total / repeats;

@@ -32,10 +32,12 @@ int main() {
     rng gen(5);
     double total = 0.0;
     const int repeats = 4;
+    const storage_config storage;
+    const fault_injector inject =
+        binomial_fault_injector(tile_storage_geometry(storage, factory), pcell);
     for (int i = 0; i < repeats; ++i) {
-      total += app->evaluate(store_and_readback(app->train_features(),
-                                                storage_config{}, factory,
-                                                binomial_fault_injector(pcell), gen));
+      total += app->evaluate(store_and_readback(app->train_features(), storage,
+                                                factory, inject, gen));
     }
     return total / repeats / clean;
   };

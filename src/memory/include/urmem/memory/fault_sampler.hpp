@@ -83,8 +83,8 @@ void draw_distinct_cells(std::uint64_t cells, std::uint64_t n, rng& gen,
 }
 
 /// Draws a map with exactly `n` faults at distinct uniform cell positions
-/// (draw_distinct_cells, each cell's kind drawn right after it).
-/// `n` must not exceed the number of cells.
+/// (draw_distinct_cells, each cell's kind drawn right after it), sorted
+/// once by cell. `n` must not exceed the number of cells.
 [[nodiscard]] fault_map sample_fault_map_exact(const array_geometry& geometry,
                                                std::uint64_t n, rng& gen,
                                                fault_polarity polarity =

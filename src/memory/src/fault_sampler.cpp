@@ -44,6 +44,13 @@ fault_map sample_fault_map_exact(const array_geometry& geometry, std::uint64_t n
     const auto col = static_cast<std::uint32_t>(cell % geometry.width);
     faults.push_back(fault{row, col, draw_kind(gen, polarity)});
   });
+  // Floyd's cells are distinct, so a plain sort on the packed (row, col)
+  // key yields the map's stored order, which the bulk constructor then
+  // takes as is (no stable sort, no duplicate pass).
+  std::sort(faults.begin(), faults.end(), [](const fault& a, const fault& b) {
+    return ((std::uint64_t{a.row} << 32) | a.col) <
+           ((std::uint64_t{b.row} << 32) | b.col);
+  });
   return fault_map(geometry, std::move(faults));
 }
 

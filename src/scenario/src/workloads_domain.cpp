@@ -81,17 +81,30 @@ class psnr_workload final : public workload {
 
     // The (vdd x scheme) grid is sharded over the campaign pool: every
     // scheme sees the identical fault stream at each voltage (one named
-    // stream per grid cell), so columns stay comparable.
+    // stream per grid cell), so columns stay comparable. Each grid
+    // cell's storage and injector are built once and shared by its
+    // repeats.
     const std::size_t grid = vdds_.size() * recipes.size();
+    std::vector<storage_config> storages;
+    std::vector<fault_injector> injects;
+    storages.reserve(grid);
+    injects.reserve(grid);
+    for (std::size_t cell = 0; cell < grid; ++cell) {
+      const scheme_recipe& recipe = recipes[cell % recipes.size()];
+      storage_config storage = spec.storage(recipe.spare_rows);
+      storage.regions = recipe.regions;
+      injects.push_back(binomial_fault_injector(
+          tile_storage_geometry(storage, recipe.factory),
+          model.pcell(vdds_[cell / recipes.size()]), spec.fault.polarity));
+      storages.push_back(std::move(storage));
+    }
     const std::uint64_t trials = grid * repeats_;
     const std::vector<double> psnrs = runner.map<double>(
         trials, [&](std::uint64_t trial, rng&) {
           const std::uint64_t cell = trial / repeats_;
           const std::uint64_t repeat = trial % repeats_;
           const std::uint64_t vdd_index = cell / recipes.size();
-          const double vdd = vdds_[vdd_index];
           const scheme_recipe& recipe = recipes[cell % recipes.size()];
-          const double pcell = model.pcell(vdd);
           // Scheme-independent stream keyed by the voltage INDEX:
           // every scheme stores through the same manufactured fault
           // population at this (vdd, repeat), and integer keys stay
@@ -100,11 +113,9 @@ class psnr_workload final : public workload {
               spec.seeds.root,
               "psnr.faults." + std::to_string(vdd_index) + "." +
                   std::to_string(repeat));
-          storage_config storage = spec.storage(recipe.spare_rows);
-          storage.regions = recipe.regions;
-          const matrix stored = store_and_readback(
-              app->train_features(), storage, recipe.factory,
-              binomial_fault_injector(pcell, spec.fault.polarity), fault_gen);
+          const matrix stored =
+              store_and_readback(app->train_features(), storages[cell],
+                                 recipe.factory, injects[cell], fault_gen);
           return app->evaluate(stored);
         });
     output.trials = runner.last_stats().trials;
@@ -217,8 +228,8 @@ class ml_quality_workload final : public workload {
       // baselines) may carry per-region operating points; honor them
       // with the region-segmented injector. Uniform recipes (and
       // `tiered:` compact entries) inject at the spec point.
-      fault_injector inject =
-          binomial_fault_injector(pcell, spec.fault.polarity);
+      const array_geometry tile = tile_storage_geometry(storage, recipe.factory);
+      fault_injector inject;
       if (i == spec.schemes.size() && !spec.regions.empty()) {
         std::vector<region_operating_point> points;
         points.reserve(recipe.regions.size());
@@ -227,15 +238,16 @@ class ml_quality_workload final : public workload {
                             spec.resolved_region_pcell(spec.regions[r],
                                                        "ml-quality")});
         }
-        inject = region_fault_injector(std::move(points), spec.fault.polarity);
+        inject = region_fault_injector(tile, std::move(points),
+                                       spec.fault.polarity);
+      } else {
+        inject = binomial_fault_injector(tile, pcell, spec.fault.polarity);
       }
       const matrix stored =
           store_and_readback(app->train_features(), storage, recipe.factory,
                              inject, gen, &stats);
       const double metric = app->evaluate(stored);
-      // storage_bits is row-count independent; a 1-row probe instance
-      // avoids building a throwaway rows-sized LUT per scheme.
-      const unsigned storage_cols = recipe.factory(1)->storage_bits();
+      const unsigned storage_cols = tile.width;
       table.add_row({recipe.display_name, std::to_string(storage_cols),
                      std::to_string(stats.injected_faults),
                      std::to_string(stats.corrected_words),
@@ -574,14 +586,14 @@ class lut_faults_workload final : public workload {
                                   spec.geometry.word_bits};
     const unsigned max_nfm = log2_exact(geometry.width);
 
+    // One data-fault distribution for the point, shared by every trial.
+    const binomial_distribution data_faults(geometry.cells(), pcell);
     // Trial (nFM - 1) * trials + t returns {robust, faulty} MSE.
     campaign_runner& runner = pool.runner();
     const std::vector<std::pair<double, double>> mses =
         runner.map<std::pair<double, double>>(
             max_nfm * trials, [&](std::uint64_t trial, rng& gen) {
               const auto n_fm = static_cast<unsigned>(trial / trials) + 1;
-              // Per trial: the distribution caches its table lazily.
-              const binomial_distribution data_faults(geometry.cells(), pcell);
               const fault_map faults = sample_fault_map_binomial(
                   geometry, data_faults, gen, spec.fault.polarity);
               shuffle_scheme robust(geometry.rows, geometry.width, n_fm);

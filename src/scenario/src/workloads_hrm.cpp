@@ -177,11 +177,41 @@ class hrm_workload final : public workload {
             ? 0.0
             : spec.resolved_pcell("hrm-quality");
 
+    // Every store's tile geometry and injector, built once for the
+    // point and shared read-only by all trials: the binomial injectors
+    // build their fault-count tables here, not per tile.
+    store_plan tiered_store{spec.storage(), {}};
+    tiered_store.storage.regions = tiered.regions;
+    tiered_store.inject =
+        exact_faults_.empty()
+            ? region_fault_injector(
+                  tile_storage_geometry(tiered_store.storage, tiered.factory),
+                  points, spec.fault.polarity)
+            : region_exact_fault_injector(tiered.regions, exact_faults_,
+                                          spec.fault.polarity);
+    // Baselines draw at the spec operating point, after the tiered
+    // store; in exact mode they draw the same total count instead.
+    std::uint64_t exact_total = 0;
+    for (const std::uint64_t n : exact_faults_) exact_total += n;
+    std::vector<store_plan> baseline_stores;
+    baseline_stores.reserve(baselines.size());
+    for (const scheme_recipe& baseline : baselines) {
+      store_plan plan{spec.storage(baseline.spare_rows), {}};
+      plan.storage.regions = baseline.regions;
+      plan.inject =
+          exact_faults_.empty()
+              ? binomial_fault_injector(
+                    tile_storage_geometry(plan.storage, baseline.factory),
+                    baseline_pcell, spec.fault.polarity)
+              : exact_fault_injector(exact_total, spec.fault.polarity);
+      baseline_stores.push_back(std::move(plan));
+    }
+
     campaign_runner& runner = pool.runner();
     const std::vector<trial_result> results = runner.map<trial_result>(
         trials_, [&](std::uint64_t /*trial*/, rng& gen) {
-          return run_trial(spec, tiered, baselines, baseline_pcell, points,
-                           quantizer, app.get(), words, gen);
+          return run_trial(spec, tiered, tiered_store, baselines,
+                           baseline_stores, quantizer, app.get(), words, gen);
         });
 
     // Trial-ordered reduction keeps every count (and the dyadic MSE
@@ -208,19 +238,20 @@ class hrm_workload final : public workload {
   }
 
  private:
+  /// One store of a trial: its tiled storage and its fault injector.
+  struct store_plan {
+    storage_config storage;
+    fault_injector inject;
+  };
+
   trial_result run_trial(const scenario_spec& spec,
                          const scheme_recipe& tiered,
+                         const store_plan& tiered_store,
                          const std::vector<scheme_recipe>& baselines,
-                         double baseline_pcell,
-                         const std::vector<region_operating_point>& points,
+                         const std::vector<store_plan>& baseline_stores,
                          const matrix_quantizer& quantizer, const application* app,
                          const std::vector<word_t>& words, rng& gen) const {
     const std::uint32_t rows = spec.geometry.rows_per_tile;
-    const fault_injector inject =
-        exact_faults_.empty()
-            ? region_fault_injector(points, spec.fault.polarity)
-            : region_exact_fault_injector(tiered.regions, exact_faults_,
-                                          spec.fault.polarity);
     const auto evaluate = [&](const std::vector<word_t>& restored) {
       return app == nullptr
                  ? 0.0
@@ -231,11 +262,12 @@ class hrm_workload final : public workload {
 
     trial_result result;
     result.regions.resize(tiered.regions.size());
-    std::vector<word_t> restored = words;
-    storage_config storage = spec.storage();
-    storage.regions = tiered.regions;
+    // The restored copies only feed an application; synthetic data is
+    // scored from the changed words alone.
+    std::vector<word_t> restored;
+    if (app != nullptr) restored = words;
     const pipeline_stats stats = store_words(
-        words, storage, tiered.factory, inject, gen,
+        words, tiered_store.storage, tiered.factory, tiered_store.inject, gen,
         [&](std::size_t first_word, const protected_memory& tile,
             std::span<const changed_word> changed) {
           // Injected faults per region: data rows route by range, spare
@@ -292,7 +324,7 @@ class hrm_workload final : public workload {
             counts.word_errors++;
             counts.error_lsb_sum +=
                 written > word.read ? written - word.read : word.read - written;
-            restored[first_word + word.row] = word.read;
+            if (app != nullptr) restored[first_word + word.row] = word.read;
           }
           for (std::size_t r = 0; r < tiered.regions.size(); ++r) {
             result.regions[r].analytic_mse_sum += tile.analytic_mse(
@@ -306,22 +338,17 @@ class hrm_workload final : public workload {
 
     // Uniform baselines on the same trial stream, drawn after the
     // tiered store (sequential draws keep the trial deterministic).
-    std::uint64_t exact_total = 0;
-    for (const std::uint64_t n : exact_faults_) exact_total += n;
-    const fault_injector base_inject =
-        exact_faults_.empty()
-            ? binomial_fault_injector(baseline_pcell, spec.fault.polarity)
-            : exact_fault_injector(exact_total, spec.fault.polarity);
-    for (const scheme_recipe& baseline : baselines) {
-      storage_config base_storage = spec.storage(baseline.spare_rows);
-      base_storage.regions = baseline.regions;
-      std::vector<word_t> base_restored = words;
+    for (std::size_t b = 0; b < baselines.size(); ++b) {
+      std::vector<word_t> base_restored;
+      if (app != nullptr) base_restored = words;
       std::uint64_t errors = 0;
       store_words(
-          words, base_storage, baseline.factory, base_inject, gen,
+          words, baseline_stores[b].storage, baselines[b].factory,
+          baseline_stores[b].inject, gen,
           [&](std::size_t first_word, const protected_memory& /*tile*/,
               std::span<const changed_word> changed) {
             errors += changed.size();
+            if (app == nullptr) return;
             for (const changed_word& word : changed) {
               base_restored[first_word + word.row] = word.read;
             }

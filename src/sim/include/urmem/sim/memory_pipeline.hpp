@@ -43,7 +43,14 @@ namespace urmem {
 /// Creates a fresh protection-scheme instance for a tile of `rows` rows.
 using scheme_factory = std::function<std::unique_ptr<protection_scheme>(std::uint32_t rows)>;
 
-/// Produces the fault map of one tile given its storage geometry.
+/// Produces the fault map of one tile given its storage geometry
+/// (protected_memory::storage_geometry), drawing only on the rng it is
+/// handed. An injector is immutable once built: one instance may serve
+/// every tile of every trial, from any number of threads at once.
+/// Build it once per operating point and storage geometry (see
+/// tile_storage_geometry); the binomial injectors build their fault-count
+/// distributions when they are created, so per-call construction would
+/// rebuild the same cumulative table for every tile.
 using fault_injector = std::function<fault_map(const array_geometry&, rng&)>;
 
 /// Geometry and Q-format of the tiled store.
@@ -134,7 +141,22 @@ struct readback {
                                                   fault_polarity polarity =
                                                       fault_polarity::flip);
 
-/// Fault injector drawing Binomial(cells, pcell) faults per tile.
+/// The storage geometry of every tile store_words builds for `config`
+/// and `factory`: data plus spare rows, at the scheme's storage width.
+[[nodiscard]] array_geometry tile_storage_geometry(const storage_config& config,
+                                                   const scheme_factory& factory);
+
+/// Fault injector drawing Binomial(cells, pcell) faults per tile of
+/// `geometry`. The distribution is built here, once, and shared by
+/// every call; each call must pass `geometry`.
+[[nodiscard]] fault_injector binomial_fault_injector(
+    const array_geometry& geometry, double pcell,
+    fault_polarity polarity = fault_polarity::flip);
+
+/// Geometry-free form of the injector above: builds it (and its
+/// distribution's table) on every call, so it draws the same maps at a
+/// table build per tile. Kept for callers written against the per-call
+/// form, such as perfbench's traced replay.
 [[nodiscard]] fault_injector binomial_fault_injector(double pcell,
                                                      fault_polarity polarity =
                                                          fault_polarity::flip);
@@ -151,9 +173,16 @@ struct region_operating_point {
 /// Injector drawing Binomial(cells, pcell) faults independently per
 /// region at that region's own Pcell — over its data rows AND its spare
 /// pool (spares are manufactured in the same corner as the rows they
-/// back). `points` must tile the data rows in order; the tile geometry
-/// handed to the injector must equal data rows + total spares, with
-/// spares laid out per protected_memory's region-order convention.
+/// back). `points` must tile the data rows in order; `geometry` must
+/// equal data rows + total spares, with spares laid out per
+/// protected_memory's region-order convention. Each region's
+/// distribution is built here, once; each call must pass `geometry`.
+[[nodiscard]] fault_injector region_fault_injector(
+    const array_geometry& geometry, std::vector<region_operating_point> points,
+    fault_polarity polarity = fault_polarity::flip);
+
+/// Geometry-free form of the injector above, built on every call (see
+/// the geometry-free binomial_fault_injector).
 [[nodiscard]] fault_injector region_fault_injector(
     std::vector<region_operating_point> points,
     fault_polarity polarity = fault_polarity::flip);

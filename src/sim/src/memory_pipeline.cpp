@@ -121,10 +121,30 @@ fault_injector exact_fault_injector(std::uint64_t n, fault_polarity polarity) {
   };
 }
 
+array_geometry tile_storage_geometry(const storage_config& config,
+                                     const scheme_factory& factory) {
+  std::uint32_t spares = config.spare_rows_per_tile;
+  for (const memory_region& region : config.regions) {
+    spares += region.spare_rows;
+  }
+  // storage_bits is row-count independent; a 1-row probe is cheapest.
+  return {config.rows_per_tile + spares, factory(1)->storage_bits()};
+}
+
+fault_injector binomial_fault_injector(const array_geometry& geometry,
+                                       double pcell, fault_polarity polarity) {
+  const auto dist =
+      std::make_shared<const binomial_distribution>(geometry.cells(), pcell);
+  return [geometry, dist, polarity](const array_geometry& tile, rng& gen) {
+    expects(tile == geometry,
+            "binomial injector called with another geometry than its own");
+    return sample_fault_map_binomial(geometry, *dist, gen, polarity);
+  };
+}
+
 fault_injector binomial_fault_injector(double pcell, fault_polarity polarity) {
   return [pcell, polarity](const array_geometry& geometry, rng& gen) {
-    const binomial_distribution dist(geometry.cells(), pcell);
-    return sample_fault_map_binomial(geometry, dist, gen, polarity);
+    return binomial_fault_injector(geometry, pcell, polarity)(geometry, gen);
   };
 }
 
@@ -135,18 +155,28 @@ fault_injector no_fault_injector() {
 namespace {
 
 /// Rebases one region's sub-map (data rows, then its spares) into tile
-/// rows using protected_memory's region-order spare layout. The tile's
-/// map is built once from the collected faults: regions interleave data
-/// and spare rows, so adding them one by one would insert mid-map.
-void merge_region_faults(std::vector<fault>& tile, const fault_map& drawn,
-                         const memory_region& region,
+/// rows using protected_memory's region-order spare layout: data faults
+/// go to `data`, spare faults to `spares`. Regions arrive in table
+/// order, so each list stays ascending, and data rows precede every
+/// spare row: `data` followed by `spares` is the sorted tile map.
+void merge_region_faults(std::vector<fault>& data, std::vector<fault>& spares,
+                         const fault_map& drawn, const memory_region& region,
                          std::uint32_t spare_base) {
   for (const fault& f : drawn.all_faults()) {
-    const bool is_spare = f.row >= region.rows();
-    const std::uint32_t row = is_spare ? spare_base + (f.row - region.rows())
-                                       : region.first_row + f.row;
-    tile.push_back({row, f.col, f.kind});
+    if (f.row < region.rows()) {
+      data.push_back({region.first_row + f.row, f.col, f.kind});
+    } else {
+      spares.push_back({spare_base + (f.row - region.rows()), f.col, f.kind});
+    }
   }
+}
+
+/// The tile map of merge_region_faults' two lists.
+fault_map region_tile_map(const array_geometry& geometry,
+                          std::vector<fault>& data,
+                          const std::vector<fault>& spares) {
+  data.insert(data.end(), spares.begin(), spares.end());
+  return fault_map(geometry, std::move(data));
 }
 
 std::uint32_t checked_region_tile_rows(const std::vector<memory_region>& regions,
@@ -162,32 +192,62 @@ std::uint32_t checked_region_tile_rows(const std::vector<memory_region>& regions
   return data_rows;
 }
 
+/// One region of a region_fault_injector: its sub-array and the
+/// Binomial(cells, pcell) distribution over it, built once.
+struct region_draw {
+  memory_region region;
+  array_geometry sub;
+  binomial_distribution dist;
+};
+
 }  // namespace
+
+fault_injector region_fault_injector(const array_geometry& geometry,
+                                     std::vector<region_operating_point> points,
+                                     fault_polarity polarity) {
+  expects(!points.empty(), "region injector needs at least one region");
+  std::vector<memory_region> regions;
+  regions.reserve(points.size());
+  for (const region_operating_point& point : points) {
+    regions.push_back(point.region);
+  }
+  const std::uint32_t data_rows = checked_region_tile_rows(regions, geometry);
+  std::vector<region_draw> built;
+  built.reserve(points.size());
+  for (const region_operating_point& point : points) {
+    const array_geometry sub{point.region.rows() + point.region.spare_rows,
+                             geometry.width};
+    built.push_back({point.region, sub,
+                     binomial_distribution(sub.cells(), point.pcell)});
+  }
+  const auto draws =
+      std::make_shared<const std::vector<region_draw>>(std::move(built));
+  return [geometry, data_rows, draws, polarity](const array_geometry& tile,
+                                                rng& gen) {
+    expects(tile == geometry,
+            "region injector called with another geometry than its own");
+    std::vector<fault> data;
+    std::vector<fault> spares;
+    std::uint32_t spare_base = data_rows;
+    // Regions draw in table order on the shared trial stream, so the
+    // map is deterministic for a fixed seed regardless of scheduling.
+    for (const region_draw& draw : *draws) {
+      merge_region_faults(
+          data, spares,
+          sample_fault_map_binomial(draw.sub, draw.dist, gen, polarity),
+          draw.region, spare_base);
+      spare_base += draw.region.spare_rows;
+    }
+    return region_tile_map(geometry, data, spares);
+  };
+}
 
 fault_injector region_fault_injector(std::vector<region_operating_point> points,
                                      fault_polarity polarity) {
   expects(!points.empty(), "region injector needs at least one region");
-  return [points = std::move(points),
-          polarity](const array_geometry& geometry, rng& gen) {
-    std::vector<memory_region> regions;
-    regions.reserve(points.size());
-    for (const region_operating_point& point : points) {
-      regions.push_back(point.region);
-    }
-    std::uint32_t spare_base = checked_region_tile_rows(regions, geometry);
-    std::vector<fault> faults;
-    // Regions draw in table order on the shared trial stream, so the
-    // map is deterministic for a fixed seed regardless of scheduling.
-    for (const region_operating_point& point : points) {
-      const array_geometry sub{point.region.rows() + point.region.spare_rows,
-                               geometry.width};
-      const binomial_distribution dist(sub.cells(), point.pcell);
-      merge_region_faults(faults,
-                          sample_fault_map_binomial(sub, dist, gen, polarity),
-                          point.region, spare_base);
-      spare_base += point.region.spare_rows;
-    }
-    return fault_map(geometry, std::move(faults));
+  return [points = std::move(points), polarity](const array_geometry& geometry,
+                                                rng& gen) {
+    return region_fault_injector(geometry, points, polarity)(geometry, gen);
   };
 }
 
@@ -200,7 +260,8 @@ fault_injector region_exact_fault_injector(std::vector<memory_region> regions,
   return [regions = std::move(regions), counts = std::move(counts),
           polarity](const array_geometry& geometry, rng& gen) {
     std::uint32_t spare_base = checked_region_tile_rows(regions, geometry);
-    std::vector<fault> faults;
+    std::vector<fault> data;
+    std::vector<fault> spares;
     for (std::size_t r = 0; r < regions.size(); ++r) {
       const array_geometry sub{regions[r].rows() + regions[r].spare_rows,
                                geometry.width};
@@ -208,12 +269,12 @@ fault_injector region_exact_fault_injector(std::vector<memory_region> regions,
       // let reports claim counts that were never injected.
       expects(counts[r] <= sub.cells(),
               "exact region fault count exceeds the region's cells");
-      merge_region_faults(faults,
+      merge_region_faults(data, spares,
                           sample_fault_map_exact(sub, counts[r], gen, polarity),
                           regions[r], spare_base);
       spare_base += regions[r].spare_rows;
     }
-    return fault_map(geometry, std::move(faults));
+    return region_tile_map(geometry, data, spares);
   };
 }
 
