@@ -99,6 +99,12 @@ class sram_array {
   /// Fills every row with `value`.
   void fill(word_t value);
 
+  /// Returns the stored words of `rows` to 0, the state of a freshly
+  /// built array, without a write: no fault acts, and the fault map and
+  /// planes stay. A campaign tile reused across trials clears the rows
+  /// its last pass wrote, since transition faults read the old word.
+  void clear_words(std::span<const std::uint32_t> rows);
+
  private:
   fault_map faults_;
   fault_plane plane_;

@@ -1,5 +1,6 @@
 #include "urmem/memory/fault_plane.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace urmem {
@@ -7,33 +8,25 @@ namespace urmem {
 fault_plane::fault_plane(const fault_map& map)
     : geometry_(map.geometry()),
       mask_(geometry_.width == 0 ? 0 : word_mask(geometry_.width)),
-      // Folding the width mask into the AND plane keeps every plane
-      // output width-masked without a separate masking op in the hot loop.
-      and_(geometry_.rows, mask_),
-      or_(geometry_.rows, 0),
-      xor_(geometry_.rows, 0),
-      tf_up_(geometry_.rows, 0),
-      tf_down_(geometry_.rows, 0),
       faulty_rows_((geometry_.rows + 63) / 64, 0) {
   recompile(map);
 }
 
 inline void fault_plane::reset_row(std::size_t row) {
-  and_[row] = mask_;
-  or_[row] = 0;
-  xor_[row] = 0;
-  tf_up_[row] = 0;
-  tf_down_[row] = 0;
+  for (std::size_t kind = 0; kind < kind_count; ++kind) {
+    if (!planes_[kind].empty()) planes_[kind][row] = identity(kind);
+  }
 }
 
 inline void fault_plane::add_fault(const fault& f) {
+  const std::size_t kind = index(f.kind);
+  std::vector<word_t>& masks = planes_[kind];
+  if (masks.empty()) masks.assign(geometry_.rows, identity(kind));
   const word_t bit = word_t{1} << f.col;
-  switch (f.kind) {
-    case fault_kind::stuck_at_zero: and_[f.row] &= ~bit; break;
-    case fault_kind::stuck_at_one: or_[f.row] |= bit; break;
-    case fault_kind::flip: xor_[f.row] |= bit; break;
-    case fault_kind::transition_up_fail: tf_up_[f.row] |= bit; break;
-    case fault_kind::transition_down_fail: tf_down_[f.row] |= bit; break;
+  if (f.kind == fault_kind::stuck_at_zero) {
+    masks[f.row] &= ~bit;
+  } else {
+    masks[f.row] |= bit;
   }
   faulty_rows_[f.row / 64] |= word_t{1} << (f.row % 64);
 }
@@ -62,6 +55,28 @@ void fault_plane::recompile_rows(const fault_map& map,
   fault_count_ = map.fault_count();
 }
 
+bool operator==(const fault_plane& a, const fault_plane& b) {
+  if (a.geometry_ != b.geometry_ || a.fault_count_ != b.fault_count_ ||
+      a.faulty_rows_ != b.faulty_rows_) {
+    return false;
+  }
+  for (std::size_t kind = 0; kind < fault_plane::kind_count; ++kind) {
+    const std::vector<word_t>& x = a.planes_[kind];
+    const std::vector<word_t>& y = b.planes_[kind];
+    if (x.empty() == y.empty()) {
+      if (x != y) return false;
+      continue;
+    }
+    const word_t identity = a.identity(kind);
+    const std::vector<word_t>& present = x.empty() ? y : x;
+    if (std::any_of(present.begin(), present.end(),
+                    [&](word_t m) { return m != identity; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool fault_plane::rows_fault_free(std::uint32_t first, std::size_t count) const {
   expects(first <= geometry_.rows && count <= geometry_.rows - first,
           "row range out of bounds");
@@ -85,13 +100,17 @@ void fault_plane::corrupt_rows(std::uint32_t first,
   expects(first <= geometry_.rows && words.size() <= geometry_.rows - first,
           "row range out of bounds");
   if (rows_fault_free(first, words.size())) return;  // already width-masked
-  const word_t* a = and_.data() + first;
-  const word_t* o = or_.data() + first;
-  const word_t* x = xor_.data() + first;
+  // One pass per present read plane, in ((w & and) | or) ^ xor order.
   word_t* w = words.data();
   const std::size_t count = words.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    w[i] = ((w[i] & a[i]) | o[i]) ^ x[i];
+  if (const auto& a = plane(fault_kind::stuck_at_zero); !a.empty()) {
+    for (std::size_t i = 0; i < count; ++i) w[i] &= a[first + i];
+  }
+  if (const auto& o = plane(fault_kind::stuck_at_one); !o.empty()) {
+    for (std::size_t i = 0; i < count; ++i) w[i] |= o[first + i];
+  }
+  if (const auto& x = plane(fault_kind::flip); !x.empty()) {
+    for (std::size_t i = 0; i < count; ++i) w[i] ^= x[first + i];
   }
 }
 
@@ -103,17 +122,18 @@ void fault_plane::apply_write_rows(std::uint32_t first,
   expects(first <= geometry_.rows && incoming.size() <= geometry_.rows - first,
           "row range out of bounds");
   const std::size_t count = incoming.size();
-  if (rows_fault_free(first, count)) {
+  const std::vector<word_t>& up = plane(fault_kind::transition_up_fail);
+  const std::vector<word_t>& down = plane(fault_kind::transition_down_fail);
+  if ((up.empty() && down.empty()) || rows_fault_free(first, count)) {
     for (std::size_t i = 0; i < count; ++i) storage[i] = incoming[i] & mask_;
     return;
   }
-  const word_t* up = tf_up_.data() + first;
-  const word_t* down = tf_down_.data() + first;
   for (std::size_t i = 0; i < count; ++i) {
     const word_t value = incoming[i] & mask_;
     const word_t old = storage[i];
-    const word_t blocked_up = up[i] & ~old & value;
-    const word_t blocked_down = down[i] & old & ~value;
+    const word_t blocked_up = up.empty() ? 0 : up[first + i] & ~old & value;
+    const word_t blocked_down =
+        down.empty() ? 0 : down[first + i] & old & ~value;
     storage[i] = (value & ~blocked_up) | blocked_down;
   }
 }

@@ -96,4 +96,11 @@ void sram_array::fill(word_t value) {
   for (std::uint32_t row = 0; row < rows(); ++row) write(row, value);
 }
 
+void sram_array::clear_words(std::span<const std::uint32_t> rows) {
+  for (const std::uint32_t row : rows) {
+    expects(row < this->rows(), "row out of range");
+    data_[row] = 0;
+  }
+}
+
 }  // namespace urmem

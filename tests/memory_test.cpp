@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "urmem/memory/cell_failure_model.hpp"
@@ -431,11 +433,179 @@ TEST(SramArrayTest, SetFaultsPreservesData) {
   EXPECT_EQ(array.read_ideal(2), 0x0FULL);
 }
 
+// clear_words returns the listed rows to a new array's zeros without a
+// write: a transition cell that blocks 1 -> 0 still holds 0 afterwards.
+TEST(SramArrayTest, ClearWordsRestoresTheNewArrayState) {
+  fault_map map({4, 8});
+  map.add({1, 3, fault_kind::transition_down_fail});
+  sram_array array(map);
+  array.write(1, 0xFF);
+  array.write(1, 0x00);
+  array.write(2, 0x5A);
+  EXPECT_EQ(array.read_ideal(1), 0x08ULL);  // the 1 -> 0 write was blocked
+  const std::vector<std::uint32_t> rows{1, 2};
+  array.clear_words(rows);
+  for (std::uint32_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(array.read_ideal(row), 0ULL) << "row " << row;
+  }
+  EXPECT_EQ(array.faults().fault_count(), 1u);
+  const std::vector<std::uint32_t> outside{4};
+  EXPECT_THROW(array.clear_words(outside), std::invalid_argument);
+}
+
 TEST(SramArrayTest, GeometryMismatchRejected) {
   sram_array array(array_geometry{4, 8});
   EXPECT_THROW(array.set_faults(fault_map({5, 8})), std::invalid_argument);
   EXPECT_THROW(array.write(4, 0), std::invalid_argument);
   EXPECT_THROW((void)array.read(4), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------
+// Fault planes sized to the fault kinds present
+
+constexpr fault_kind kAllKinds[] = {
+    fault_kind::stuck_at_zero, fault_kind::stuck_at_one, fault_kind::flip,
+    fault_kind::transition_up_fail, fault_kind::transition_down_fail};
+
+// A plane allocates a kind's array on the kind's first fault and keeps
+// it. A mixed map's plane recompiled from a flip-only map therefore
+// still holds all five arrays, four of them all identity, and must
+// equal a fresh compile of the flip-only map, which holds only XOR.
+TEST(FaultPlaneKindsTest, RecompiledFromMixedEqualsAFreshFlipOnlyCompile) {
+  const array_geometry geometry{256, 39};
+  rng gen(31);
+  const fault_map mixed =
+      sample_fault_map_exact(geometry, 400, gen, fault_polarity::mixed);
+  const fault_map flips =
+      sample_fault_map_exact(geometry, 60, gen, fault_polarity::flip);
+  const fault_plane fresh(flips);
+  for (const fault_kind kind : kAllKinds) {
+    EXPECT_EQ(fresh.has_plane(kind), kind == fault_kind::flip);
+  }
+
+  fault_plane reused(mixed);
+  for (const fault_kind kind : kAllKinds) EXPECT_TRUE(reused.has_plane(kind));
+  EXPECT_FALSE(reused == fresh);
+  reused.recompile(flips);
+  for (const fault_kind kind : kAllKinds) EXPECT_TRUE(reused.has_plane(kind));
+  EXPECT_TRUE(reused == fresh);
+  EXPECT_TRUE(fresh == reused);
+
+  // One stuck-at-1 cell more is a difference in an array the fresh
+  // compile does not hold.
+  fault_map one_more = flips;
+  const fault extra{0, 0, fault_kind::stuck_at_one};
+  ASSERT_FALSE(one_more.row_has_faults(0));
+  one_more.add(extra);
+  reused.recompile(one_more);
+  fault_plane fresh_flips = fresh;
+  EXPECT_FALSE(reused == fresh_flips);
+  EXPECT_FALSE(fresh_flips == reused);
+
+  // A fault-free map allocates nothing, and a reset plane equals it.
+  const fault_plane none{fault_map(geometry)};
+  for (const fault_kind kind : kAllKinds) EXPECT_FALSE(none.has_plane(kind));
+  reused.recompile(fault_map(geometry));
+  EXPECT_TRUE(reused == none);
+}
+
+// A delta that removes the last fault of a kind leaves that kind's array
+// allocated and all identity: still equal to a fresh compile, and still
+// reading and writing like the walk.
+TEST(FaultPlaneKindsTest, DeltaRemovingTheLastFaultOfAKindEqualsAFreshCompile) {
+  const array_geometry geometry{64, 16};
+  fault_map map(geometry);
+  map.add({3, 1, fault_kind::flip});
+  map.add({10, 7, fault_kind::flip});
+  map.add({20, 5, fault_kind::stuck_at_one});
+  map.add({30, 2, fault_kind::transition_up_fail});
+  sram_array array(map);
+  sram_array walk(map);
+  walk.set_fault_path(fault_path::reference);
+  ASSERT_TRUE(array.plane().has_plane(fault_kind::stuck_at_one));
+
+  fault_delta delta;
+  delta.removed = {{20, 5, fault_kind::stuck_at_one}};
+  array.patch_faults(delta);
+  walk.patch_faults(delta);
+  EXPECT_TRUE(array.plane().has_plane(fault_kind::stuck_at_one));
+  EXPECT_TRUE(array.plane() == fault_plane(array.faults()));
+
+  // The last transition fault out, the first stuck-at-0 in.
+  fault_delta swap;
+  swap.removed = {{30, 2, fault_kind::transition_up_fail}};
+  swap.added = {{40, 1, fault_kind::stuck_at_zero}};
+  array.patch_faults(swap);
+  walk.patch_faults(swap);
+  EXPECT_TRUE(array.plane() == fault_plane(array.faults()));
+
+  rng gen(8);
+  for (int step = 0; step < 400; ++step) {
+    const auto row = static_cast<std::uint32_t>(gen.uniform_below(64));
+    const word_t value = gen();
+    array.write(row, value);
+    walk.write(row, value);
+    ASSERT_EQ(array.read(row), walk.read(row)) << "row " << row;
+    ASSERT_EQ(array.read_ideal(row), walk.read_ideal(row)) << "row " << row;
+  }
+}
+
+// corrupt / apply_write / corrupt_rows / apply_write_rows stay
+// bit-identical to fault_map's walk under every polarity, on a fresh
+// compile (only the kinds drawn are allocated) and on one plane
+// recompiled in place across polarities (arrays kept at identity).
+TEST(FaultPlaneKindsTest, OpsMatchTheWalkForEveryPolarity) {
+  const array_geometry geometry{128, 39};
+  const word_t mask = word_mask(geometry.width);
+  constexpr fault_polarity polarities[] = {
+      fault_polarity::flip, fault_polarity::random_stuck,
+      fault_polarity::mixed};
+  rng gen(53);
+  fault_plane reused{fault_map(geometry)};
+  for (int round = 0; round < 36; ++round) {
+    const fault_polarity polarity = polarities[gen.uniform_below(3)];
+    SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                 std::string(to_string(polarity)));
+    const fault_map map = sample_fault_map_exact(
+        geometry, gen.uniform_below(2 * geometry.rows), gen, polarity);
+    reused.recompile(map);
+    const fault_plane fresh(map);
+    ASSERT_TRUE(reused == fresh);
+    for (const fault_plane* plane :
+         std::initializer_list<const fault_plane*>{&fresh, &reused}) {
+      for (int probe = 0; probe < 64; ++probe) {
+        const auto row =
+            static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
+        const word_t ideal = gen() & mask;
+        const word_t old = gen() & mask;
+        const word_t incoming = gen();
+        ASSERT_EQ(plane->corrupt(row, ideal), map.corrupt(row, ideal));
+        ASSERT_EQ(plane->apply_write(row, old, incoming),
+                  map.apply_write(row, old, incoming));
+      }
+      const auto first =
+          static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
+      const std::size_t count = gen.uniform_below(geometry.rows - first + 1);
+      std::vector<word_t> words(count);
+      std::vector<word_t> storage(count);
+      std::vector<word_t> incoming(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        words[i] = gen() & mask;
+        storage[i] = gen() & mask;
+        incoming[i] = gen();
+      }
+      std::vector<word_t> read = words;
+      plane->corrupt_rows(first, read);
+      std::vector<word_t> written = storage;
+      plane->apply_write_rows(first, incoming, written);
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto row = first + static_cast<std::uint32_t>(i);
+        ASSERT_EQ(read[i], map.corrupt(row, words[i])) << "row " << row;
+        ASSERT_EQ(written[i], map.apply_write(row, storage[i], incoming[i]))
+            << "row " << row;
+      }
+    }
+  }
 }
 
 }  // namespace
