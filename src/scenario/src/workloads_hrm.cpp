@@ -198,11 +198,22 @@ class hrm_workload final : public workload {
     for (const scheme_recipe& baseline : baselines) {
       store_plan plan{spec.storage(baseline.spare_rows), {}};
       plan.storage.regions = baseline.regions;
+      const array_geometry geometry =
+          tile_storage_geometry(plan.storage, baseline.factory);
+      // The exact injector would silently clamp an overfull draw to the
+      // tile's cells, so the report would claim faults never injected.
+      if (!exact_faults_.empty() && exact_total > geometry.cells()) {
+        throw spec_error("workload.exact_faults",
+                         "baseline " + baseline.display_name + " has only " +
+                             std::to_string(geometry.cells()) +
+                             " cells per tile, cannot hold the " +
+                             std::to_string(exact_total) +
+                             " faults the regions' counts sum to");
+      }
       plan.inject =
           exact_faults_.empty()
-              ? binomial_fault_injector(
-                    tile_storage_geometry(plan.storage, baseline.factory),
-                    baseline_pcell, spec.fault.polarity)
+              ? binomial_fault_injector(geometry, baseline_pcell,
+                                        spec.fault.polarity)
               : exact_fault_injector(exact_total, spec.fault.polarity);
       baseline_stores.push_back(std::move(plan));
     }

@@ -582,6 +582,55 @@ TEST(ScenarioRunner, MseSweepsNameTheFieldOfAnUnsampleableRange) {
   }
 }
 
+// hrm-quality's exact mode draws the regions' summed counts into each
+// baseline tile. An overfull draw used to be clamped silently to the
+// tile's cells; it must blame workload.exact_faults, naming the
+// baseline, before any trial runs. hrm_smoke's regions hold 2652 and
+// 7488 cells (256-row tiles at the 39-bit SECDED width), so their full
+// counts fit the tiered tile but not a 256 x 39 SECDED or a 256 x 32
+// nFM=2 baseline.
+TEST(ScenarioRunner, HrmExactFaultsBeyondABaselineTileNameTheBaseline) {
+  const auto spec_with = [](const std::string& schemes,
+                            const std::string& counts) {
+    return scenario_spec::parse_text(
+        R"({"geometry": {"rows_per_tile": 256}, "run": {"threads": 1},
+            "schemes": [)" + schemes + R"(],
+            "regions": [
+              {"rows": "0-63", "scheme": "secded", "spare_rows": 4},
+              {"rows": "64-255", "scheme": "shuffle:nfm=2"}],
+            "workload": {"name": "hrm-quality", "trials": 1,
+                         "exact_faults": ")" + counts + R"("}})");
+  };
+  struct bad_case {
+    std::string schemes;
+    std::string counts;
+    std::string baseline;
+  };
+  const std::vector<bad_case> cases = {
+      {R"("secded", "shuffle:nfm=2")", "2652,7488", "H(39,32) ECC"},
+      {R"("shuffle:nfm=2")", "2652,7488", "nFM=2"},
+      {R"("shuffle:nfm=2")", "1000,7193", "nFM=2"},
+  };
+  for (const bad_case& c : cases) {
+    SCOPED_TRACE(c.schemes + " exact_faults=" + c.counts);
+    try {
+      std::ostringstream out;
+      (void)scenario_runner(spec_with(c.schemes, c.counts)).run(out);
+      ADD_FAILURE() << "expected spec_error";
+    } catch (const spec_error& error) {
+      EXPECT_EQ(error.field(), "workload.exact_faults");
+      EXPECT_NE(std::string(error.what()).find("baseline " + c.baseline),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // 8192 faults fill a 256 x 32 baseline tile exactly: no error.
+  std::ostringstream out;
+  EXPECT_NO_THROW(
+      (void)scenario_runner(spec_with(R"("shuffle:nfm=2")", "1000,7192"))
+          .run(out));
+}
+
 // Every spec under scenarios/ parses, and each one that names a workload
 // resolves its schemes and workload eagerly (no trial runs), so a spec
 // nothing else loads cannot rot unnoticed.
