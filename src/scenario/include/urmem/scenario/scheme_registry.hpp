@@ -30,7 +30,7 @@ namespace urmem {
 /// the tile-level knobs that ride along.
 struct scheme_recipe {
   std::string display_name;   ///< table/report label, e.g. "nFM=2"
-  scheme_factory factory;     ///< fresh instance per tile of `rows` rows
+  scheme_factory factory;     ///< new instance for a tile of `rows` rows
   std::uint32_t spare_rows = 0;  ///< redundancy spares manufactured per tile
   /// Heterogeneous-reliability region table (tiered recipes only):
   /// ordered row ranges with their own spare pools, to be installed as

@@ -8,7 +8,9 @@
 // Every store, tiered and baseline, is one store_words pass (the
 // at-risk tile pass of memory_pipeline.hpp); the per-region accounting
 // reads each tile's installed fault map, remaps and changed words from
-// the pass's visitor.
+// the pass's visitor. Each worker builds one store_tile per store on
+// its first trial and reuses them for every trial it runs; they are
+// freed when the grid point ends.
 //
 // Determinism: trials shard over the campaign pool on per-trial streams
 // (bit-identical at any thread count); `app=synthetic` stores a
@@ -19,6 +21,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "urmem/common/table.hpp"
@@ -218,12 +221,23 @@ class hrm_workload final : public workload {
       baseline_stores.push_back(std::move(plan));
     }
 
+    // One tile per store per worker, built on the worker's first trial
+    // (only that worker touches its slot) and reused for its others.
     campaign_runner& runner = pool.runner();
-    const std::vector<trial_result> results = runner.map<trial_result>(
-        trials_, [&](std::uint64_t /*trial*/, rng& gen) {
-          return run_trial(spec, tiered, tiered_store, baselines,
-                           baseline_stores, quantizer, app.get(), words, gen);
-        });
+    std::vector<std::optional<worker_tiles>> tiles(runner.threads());
+    std::vector<trial_result> results(trials_);
+    runner.run(trials_, campaign_runner::worker_trial_body(
+                            [&](std::uint64_t trial, rng& gen, unsigned worker) {
+                              std::optional<worker_tiles>& own = tiles[worker];
+                              if (!own) {
+                                own.emplace(tiered, tiered_store, baselines,
+                                            baseline_stores);
+                              }
+                              results[trial] =
+                                  run_trial(spec, tiered, *own, tiered_store,
+                                            baselines, baseline_stores,
+                                            quantizer, app.get(), words, gen);
+                            }));
 
     // Trial-ordered reduction keeps every count (and the dyadic MSE
     // sums) bit-identical at any thread count.
@@ -255,8 +269,25 @@ class hrm_workload final : public workload {
     fault_injector inject;
   };
 
+  /// One worker's tiles: the tiered store's and one per baseline.
+  struct worker_tiles {
+    worker_tiles(const scheme_recipe& tiered, const store_plan& tiered_store,
+                 const std::vector<scheme_recipe>& baselines,
+                 const std::vector<store_plan>& baseline_stores)
+        : tiered(tiered_store.storage, tiered.factory) {
+      baseline.reserve(baselines.size());
+      for (std::size_t b = 0; b < baselines.size(); ++b) {
+        baseline.emplace_back(baseline_stores[b].storage,
+                              baselines[b].factory);
+      }
+    }
+
+    store_tile tiered;
+    std::vector<store_tile> baseline;
+  };
+
   trial_result run_trial(const scenario_spec& spec,
-                         const scheme_recipe& tiered,
+                         const scheme_recipe& tiered, worker_tiles& tiles,
                          const store_plan& tiered_store,
                          const std::vector<scheme_recipe>& baselines,
                          const std::vector<store_plan>& baseline_stores,
@@ -278,7 +309,7 @@ class hrm_workload final : public workload {
     std::vector<word_t> restored;
     if (app != nullptr) restored = words;
     const pipeline_stats stats = store_words(
-        words, tiered_store.storage, tiered.factory, tiered_store.inject, gen,
+        words, tiles.tiered, tiered_store.inject, gen,
         [&](std::size_t first_word, const protected_memory& tile,
             std::span<const changed_word> changed) {
           // Injected faults per region: data rows route by range, spare
@@ -354,8 +385,7 @@ class hrm_workload final : public workload {
       if (app != nullptr) base_restored = words;
       std::uint64_t errors = 0;
       store_words(
-          words, baseline_stores[b].storage, baselines[b].factory,
-          baseline_stores[b].inject, gen,
+          words, tiles.baseline[b], baseline_stores[b].inject, gen,
           [&](std::size_t first_word, const protected_memory& /*tile*/,
               std::span<const changed_word> changed) {
             errors += changed.size();

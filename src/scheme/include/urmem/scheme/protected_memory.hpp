@@ -85,7 +85,23 @@ class protected_memory {
   /// the scheme reconfigure itself from the (post-repair) faults, the
   /// way a BIST + fuse + BIST flow would. Work is O(faults + spares):
   /// a fault-free map leaves row_remaps() empty.
+  ///
+  /// This is a full reset of everything the fault map decides: the
+  /// remaps and spare-used flags of earlier repairs and retirements are
+  /// dropped, the scheme is reprogrammed from this map alone, the
+  /// compiled planes are recompiled and a kept residual count is
+  /// recounted. Only the stored words and the fault path survive, so
+  /// clear_words over every row written since the last install,
+  /// followed by set_fault_map(m), leaves a used memory
+  /// indistinguishable from a new one given m — what a campaign tile
+  /// reused across trials relies on.
   void set_fault_map(fault_map faults);
+
+  /// Returns the stored words behind logical `rows` (the spare serving
+  /// a remapped row) to the all-zero state of a new memory
+  /// (sram_array::clear_words). Faults, remaps and the scheme
+  /// configuration stay, so call it before a set_fault_map moves them.
+  void clear_words(std::span<const std::uint32_t> rows);
 
   /// Logical rows whose readback can differ from the word written, in
   /// ascending order: rows whose physical row holds a fault, plus every

@@ -173,8 +173,9 @@ class none_scheme final : public protection_scheme {
 /// Whole-word t-error-correcting ECC over one code type: SECDED
 /// H(39,32), Hsiao(39,32) or BCH(45,32,t=2) for 32-bit data. The codec
 /// (whose dense correction table can run to megabytes) is shared
-/// immutably between instances, so per-trial scheme construction
-/// (quality experiments build one per tile) never rebuilds the LUTs.
+/// immutably between instances, so building a scheme (campaigns build
+/// one per worker tile, the serving tier one per tile) never rebuilds
+/// the LUTs.
 template <class Code>
 class ecc_scheme final : public protection_scheme {
  public:

@@ -127,6 +127,14 @@ void protected_memory::set_fault_map(fault_map faults) {
   recount_residual();
 }
 
+void protected_memory::clear_words(std::span<const std::uint32_t> rows) {
+  for (const std::uint32_t row : rows) {
+    expects(row < logical_rows_, "row out of range");
+    const std::uint32_t physical = physical_row(row);
+    array_.clear_words(std::span<const std::uint32_t>(&physical, 1));
+  }
+}
+
 void protected_memory::update_fault_map(fault_map faults) {
   expects(faults.geometry() == storage_geometry(), "fault map geometry mismatch");
   array_.set_faults(std::move(faults));

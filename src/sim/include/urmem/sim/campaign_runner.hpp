@@ -80,6 +80,10 @@ class campaign_runner {
   /// gens[k], its own make_stream_rng engine.
   using group_body =
       std::function<void(std::uint64_t first, std::span<rng> gens)>;
+  /// group_body that also receives the executing worker's index, as
+  /// worker_trial_body does.
+  using worker_group_body = std::function<void(
+      std::uint64_t first, std::span<rng> gens, unsigned worker)>;
 
   explicit campaign_runner(campaign_config config = {});
   ~campaign_runner();
@@ -106,6 +110,10 @@ class campaign_runner {
   /// last_stats().trials still counts trials.
   void run_groups(std::uint64_t trials, std::uint64_t group,
                   const group_body& body);
+
+  /// run_groups() variant handing the body the executing worker's index.
+  void run_groups(std::uint64_t trials, std::uint64_t group,
+                  const worker_group_body& body);
 
   /// run() variant collecting one result per trial, in trial order.
   template <typename T>
@@ -139,8 +147,6 @@ class campaign_runner {
 
   /// What every entry point runs: groups of `group` consecutive trials
   /// with their engines, on the executing worker.
-  using worker_group_body = std::function<void(
-      std::uint64_t first, std::span<rng> gens, unsigned worker)>;
   void run_units(std::uint64_t trials, std::uint64_t group,
                  const worker_group_body& body);
 

@@ -9,21 +9,26 @@
 //
 // A trial pays for its faults, not for the array. The clean image (the
 // fixed-point words and their dequantized values) is built once per
-// input and storage config. Per tile, a trial builds the tile, draws
-// its fault map and installs it exactly as a whole-tile pass would, but
-// then streams only the at-risk rows (faulty or remapped, see
-// protected_memory::at_risk_rows) through write_block/read_block: every
-// other row reads back exactly what was written (the fault-free row
-// contract of protection_scheme.hpp) and counts as neither corrected
-// nor uncorrectable. store_words is that one tile pass over raw words:
-// after each tile it hands a visitor the tile (fault map, remaps,
-// regions) and the words that read back changed. hrm-quality's
-// per-region accounting runs in that visitor, and store_and_readback
-// (Fig. 7, psnr-image, ml-quality) wraps it for matrices: the
-// readback is the clean values with the changed words patched in,
-// bit-identical to dequantizing a whole-tile pass, and it lists the
-// matrix rows that changed so an application can re-score only those
-// (application::make_group_evaluator).
+// input and storage config, and the tile itself (a store_tile: one
+// protected_memory with its scheme, planes and stored words) is built
+// once per store and reused for every tile of a pass and for every
+// trial of the worker that owns it. Per tile, a trial zeroes the words
+// the tile's last use wrote, draws its fault map and installs it
+// exactly as a new tile would (protected_memory::set_fault_map is a
+// full reset), but then streams only the at-risk rows (faulty or
+// remapped, see protected_memory::at_risk_rows) through
+// write_block/read_block: every other row reads back exactly what was
+// written (the fault-free row contract of protection_scheme.hpp) and
+// counts as neither corrected nor uncorrectable. store_words is that
+// one tile pass over raw words: after each tile it hands a visitor the
+// tile (fault map, remaps, regions) and the words that read back
+// changed. hrm-quality's per-region accounting runs in that visitor,
+// and store_and_readback (Fig. 7, psnr-image, ml-quality) wraps it for
+// matrices: the readback is the clean values with the changed words
+// patched in, bit-identical to dequantizing a whole-tile pass, and it
+// lists the matrix rows that changed so an application can re-score
+// only those (application::make_group_evaluator). The overloads taking
+// a scheme_factory build one local tile per call.
 #pragma once
 
 #include <cstdint>
@@ -91,10 +96,44 @@ using tile_visitor =
     std::function<void(std::size_t first_word, const protected_memory& tile,
                        std::span<const changed_word> changed)>;
 
+/// One reusable campaign tile: a protected_memory of `config`'s
+/// geometry and region table with a scheme from `factory`, built once.
+/// Each install() returns it to the state of a new tile, so a reused
+/// tile stores exactly what a new one would. A tile is mutable state:
+/// one thread at a time, so a campaign keeps one per worker and store.
+class store_tile {
+ public:
+  /// Checks `config` (at least one row; a region table replaces
+  /// spare_rows_per_tile) and the scheme `factory` builds (non-null, of
+  /// word width config.word_bits).
+  store_tile(const storage_config& config, const scheme_factory& factory);
+
+  [[nodiscard]] const storage_config& config() const { return config_; }
+  [[nodiscard]] const protected_memory& memory() const { return memory_; }
+
+  /// Zeroes the words written since the last install (transition
+  /// faults read the old word), then installs `faults` with
+  /// protected_memory::set_fault_map, which resets everything else.
+  void install(fault_map faults);
+
+  /// protected_memory::write_block, noting the rows for install().
+  void write_block(std::uint32_t first, std::span<const word_t> data);
+
+ private:
+  storage_config config_;
+  protected_memory memory_;
+  std::vector<std::uint32_t> written_;  ///< logical rows, since install()
+};
+
 /// Writes `words` through scheme-protected faulty tiles of
-/// `config.rows_per_tile` rows and reads them back. Each tile gets a
-/// fresh scheme from `factory` and a fault map from `inject` (drawn on
-/// `gen` in tile order); only its at-risk rows are written and read.
+/// `tile.config().rows_per_tile` rows and reads them back, reusing
+/// `tile` for each one. Each tile gets a fault map from `inject` (drawn
+/// on `gen` in tile order); only its at-risk rows are written and read.
+pipeline_stats store_words(std::span<const word_t> words, store_tile& tile,
+                           const fault_injector& inject, rng& gen,
+                           const tile_visitor& visit);
+
+/// store_words on one local tile built from `config` and `factory`.
 pipeline_stats store_words(std::span<const word_t> words,
                            const storage_config& config,
                            const scheme_factory& factory,
@@ -120,8 +159,15 @@ struct readback {
   std::vector<std::size_t> changed_rows;
 };
 
-/// store_words over `clean.words`, patching the changed words into a
-/// copy of `clean.values`.
+/// store_words over `clean.words` on `tile`, patching the changed
+/// words into a copy of `clean.values`.
+[[nodiscard]] readback store_and_readback(const quantized_matrix& clean,
+                                          store_tile& tile,
+                                          const fault_injector& inject,
+                                          rng& gen,
+                                          pipeline_stats* stats = nullptr);
+
+/// The pass above on one local tile built from `config` and `factory`.
 [[nodiscard]] readback store_and_readback(const quantized_matrix& clean,
                                           const storage_config& config,
                                           const scheme_factory& factory,

@@ -248,6 +248,13 @@ void campaign_runner::run_groups(std::uint64_t trials, std::uint64_t group,
                                    unsigned) { body(first, gens); });
 }
 
+void campaign_runner::run_groups(std::uint64_t trials, std::uint64_t group,
+                                 const worker_group_body& body) {
+  expects(static_cast<bool>(body), "campaign needs a group body");
+  expects(group >= 1, "a group holds at least one trial");
+  run_units(trials, group, body);
+}
+
 void campaign_runner::run_units(std::uint64_t trials, std::uint64_t group,
                                 const worker_group_body& body) {
   last_stats_ = campaign_stats{};

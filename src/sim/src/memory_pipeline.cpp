@@ -17,35 +17,65 @@ quantized_matrix quantize(const matrix& input, const storage_config& config) {
   return {std::move(words), std::move(values)};
 }
 
-pipeline_stats store_words(std::span<const word_t> words,
-                           const storage_config& config,
-                           const scheme_factory& factory,
-                           const fault_injector& inject, rng& gen,
-                           const tile_visitor& visit) {
+namespace {
+
+std::unique_ptr<protection_scheme> checked_scheme(const storage_config& config,
+                                                  const scheme_factory& factory) {
   expects(config.rows_per_tile >= 1, "tiles need at least one row");
   expects(config.regions.empty() || config.spare_rows_per_tile == 0,
           "a region table replaces spare_rows_per_tile");
+  std::unique_ptr<protection_scheme> scheme = factory(config.rows_per_tile);
+  expects(scheme != nullptr, "scheme factory returned null");
+  expects(scheme->data_bits() == config.word_bits,
+          "scheme word width must match the storage config");
+  return scheme;
+}
+
+protected_memory build_memory(const storage_config& config,
+                              std::unique_ptr<protection_scheme> scheme) {
+  return config.regions.empty()
+             ? protected_memory(config.rows_per_tile, std::move(scheme),
+                                config.spare_rows_per_tile)
+             : protected_memory(config.rows_per_tile, std::move(scheme),
+                                config.regions);
+}
+
+}  // namespace
+
+store_tile::store_tile(const storage_config& config,
+                       const scheme_factory& factory)
+    : config_(config),
+      memory_(build_memory(config_, checked_scheme(config_, factory))) {}
+
+void store_tile::install(fault_map faults) {
+  // Under the old remaps, so a remapped row's spare is the one cleared.
+  memory_.clear_words(written_);
+  written_.clear();
+  memory_.set_fault_map(std::move(faults));
+}
+
+void store_tile::write_block(std::uint32_t first,
+                             std::span<const word_t> data) {
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    written_.push_back(first + static_cast<std::uint32_t>(i));
+  }
+  memory_.write_block(first, data);
+}
+
+pipeline_stats store_words(std::span<const word_t> words, store_tile& tile,
+                           const fault_injector& inject, rng& gen,
+                           const tile_visitor& visit) {
+  const std::uint32_t rows_per_tile = tile.config().rows_per_tile;
+  const protected_memory& memory = tile.memory();
   std::vector<word_t> restored;
   std::vector<changed_word> changed;
   pipeline_stats stats;
-  for (std::size_t base = 0; base < words.size();
-       base += config.rows_per_tile) {
+  for (std::size_t base = 0; base < words.size(); base += rows_per_tile) {
     const auto tile_words =
-        std::min<std::size_t>(config.rows_per_tile, words.size() - base);
-    std::unique_ptr<protection_scheme> scheme = factory(config.rows_per_tile);
-    expects(scheme != nullptr, "scheme factory returned null");
-    expects(scheme->data_bits() == config.word_bits,
-            "scheme word width must match the storage config");
-    protected_memory memory =
-        config.regions.empty()
-            ? protected_memory(config.rows_per_tile, std::move(scheme),
-                               config.spare_rows_per_tile)
-            : protected_memory(config.rows_per_tile, std::move(scheme),
-                               config.regions);
-
+        std::min<std::size_t>(rows_per_tile, words.size() - base);
     fault_map faults = inject(memory.storage_geometry(), gen);
     stats.injected_faults += faults.fault_count();
-    memory.set_fault_map(std::move(faults));
+    tile.install(std::move(faults));
 
     // Stream each run of consecutive at-risk rows through the batched
     // block-codec + fault-plane path and collect the words that changed.
@@ -60,7 +90,7 @@ pipeline_stats store_words(std::span<const word_t> words,
       const std::uint32_t first = rows[i];
       const std::span<const word_t> written =
           words.subspan(base + first, end - i);
-      memory.write_block(first, written);
+      tile.write_block(first, written);
       restored.resize(written.size());
       protected_memory::block_stats block;
       memory.read_block(first, restored, &block);
@@ -79,18 +109,26 @@ pipeline_stats store_words(std::span<const word_t> words,
   return stats;
 }
 
-readback store_and_readback(const quantized_matrix& clean,
-                            const storage_config& config,
-                            const scheme_factory& factory,
+pipeline_stats store_words(std::span<const word_t> words,
+                           const storage_config& config,
+                           const scheme_factory& factory,
+                           const fault_injector& inject, rng& gen,
+                           const tile_visitor& visit) {
+  store_tile tile(config, factory);
+  return store_words(words, tile, inject, gen, visit);
+}
+
+readback store_and_readback(const quantized_matrix& clean, store_tile& tile,
                             const fault_injector& inject, rng& gen,
                             pipeline_stats* stats) {
   expects(clean.words.size() == clean.values.rows() * clean.values.cols(),
           "clean words do not match the clean values");
+  const storage_config& config = tile.config();
   const fixed_point_codec codec(config.word_bits, config.frac_bits);
   readback out{clean.values, {}};
   const std::span<double> values = out.values.data();
   const pipeline_stats local = store_words(
-      clean.words, config, factory, inject, gen,
+      clean.words, tile, inject, gen,
       [&](std::size_t first_word, const protected_memory& /*tile*/,
           std::span<const changed_word> changed) {
         for (const changed_word& word : changed) {
@@ -104,6 +142,15 @@ readback store_and_readback(const quantized_matrix& clean,
       });
   if (stats != nullptr) *stats = local;
   return out;
+}
+
+readback store_and_readback(const quantized_matrix& clean,
+                            const storage_config& config,
+                            const scheme_factory& factory,
+                            const fault_injector& inject, rng& gen,
+                            pipeline_stats* stats) {
+  store_tile tile(config, factory);
+  return store_and_readback(clean, tile, inject, gen, stats);
 }
 
 matrix store_and_readback(const matrix& input, const storage_config& config,

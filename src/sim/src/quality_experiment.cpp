@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -71,20 +72,25 @@ quality_result run_quality_experiment(const application& app,
 
   // Trials are scored in groups of consecutive trials, each drawn from
   // its own engine, so the group size cannot change a sample; samples
-  // land in their trial's slot and merge in trial order.
+  // land in their trial's slot and merge in trial order. Each worker
+  // builds one tile on its first group and reuses it for every trial it
+  // runs (a reused tile stores exactly what a new one would).
   const std::uint64_t trials = strata.size() * config.samples_per_count;
   std::vector<double> values(trials);
   std::vector<double> weights(trials);
+  std::vector<std::optional<store_tile>> tiles(runner.threads());
   runner.run_groups(
       trials, trials_per_group,
-      [&](std::uint64_t first, std::span<rng> gens) {
+      [&](std::uint64_t first, std::span<rng> gens, unsigned worker) {
+        std::optional<store_tile>& tile = tiles[worker];
+        if (!tile) tile.emplace(config.storage, factory);
         std::array<double, trials_per_group> metrics{};
         evaluate(
             [&](std::size_t k) {
               const stratum& s = strata[(first + k) / config.samples_per_count];
               return store_and_readback(
-                  clean, config.storage, factory,
-                  exact_fault_injector(s.n, config.polarity), gens[k]);
+                  clean, *tile, exact_fault_injector(s.n, config.polarity),
+                  gens[k]);
             },
             std::span<double>(metrics.data(), gens.size()));
         for (std::size_t k = 0; k < gens.size(); ++k) {

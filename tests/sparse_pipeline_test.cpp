@@ -23,54 +23,21 @@
 #include "urmem/common/bitops.hpp"
 #include "urmem/common/rng.hpp"
 #include "urmem/memory/fault_sampler.hpp"
-#include "urmem/scenario/scenario_spec.hpp"
 #include "urmem/scenario/scheme_registry.hpp"
 #include "urmem/sim/memory_pipeline.hpp"
 #include "urmem/sim/quantizer.hpp"
 
+#include "recipe_table.hpp"
+
 namespace urmem {
 namespace {
 
-constexpr std::uint32_t rows_per_tile = 256;
+using test_recipes::recipe_specs;
+using test_recipes::resolve;
+using test_recipes::rows_per_tile;
+using test_recipes::storage_of;
 
-/// One recipe per registered scheme, plus the shapes that change which
-/// rows are at risk: a spare pool, region tables with their own pools
-/// and tiers of different storage widths.
-const std::vector<std::string>& recipe_specs() {
-  static const std::vector<std::string> specs = {
-      "none",
-      "secded",
-      "hsiao",
-      "bch",
-      "pecc",
-      "shuffle:nfm=1",
-      "shuffle:nfm=2",
-      "shuffle+secded:nfm=2",
-      "shuffle+pecc:nfm=1",
-      "redundancy:spares=16",
-      "tiered:0-99=bch,t=2,spare_rows=4:100-199=shuffle,nfm=2:200-255=pecc",
-      "tiered:0-127=secded,spare_rows=8:128-255=none",
-  };
-  return specs;
-}
-
-scheme_recipe resolve(const std::string& spec) {
-  geometry_spec geometry;
-  geometry.word_bits = 32;
-  geometry.rows_per_tile = rows_per_tile;
-  return scheme_registry::instance().make(parse_compact_scheme(spec, "schemes"),
-                                          geometry);
-}
-
-storage_config storage_of(const scheme_recipe& recipe) {
-  storage_config config;
-  config.rows_per_tile = rows_per_tile;
-  config.spare_rows_per_tile = recipe.spare_rows;
-  config.regions = recipe.regions;
-  return config;
-}
-
-/// A tile built the way store_and_readback builds it.
+/// A new tile, built the way store_tile builds one.
 protected_memory build_tile(const storage_config& config,
                             const scheme_factory& factory) {
   return config.regions.empty()
