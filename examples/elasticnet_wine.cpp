@@ -22,17 +22,18 @@ int main() {
             << "Fault-free R^2 on the held-out 20%: " << format_double(clean, 4)
             << "\n\n";
 
+  const storage_config storage;
+  const quantized_matrix image = quantize(app->train_features(), storage);
   const auto average_r2 = [&](const scheme_factory& factory, double pcell) {
     double total = 0.0;
     const int repeats = 5;
     rng gen(42);
-    const storage_config storage;
+    store_tile tile(storage, factory);
     const fault_injector inject =
         binomial_fault_injector(tile_storage_geometry(storage, factory), pcell);
     for (int i = 0; i < repeats; ++i) {
-      const matrix stored = store_and_readback(app->train_features(), storage,
-                                               factory, inject, gen);
-      total += app->evaluate(stored);
+      total += app->evaluate(
+          store_and_readback(image, tile, inject, gen).values);
     }
     return total / repeats;
   };

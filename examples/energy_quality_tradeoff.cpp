@@ -27,17 +27,19 @@ int main() {
 
   const auto app = make_elasticnet_app();
   const double clean = app->evaluate(app->train_features());
+  const storage_config storage;
+  const quantized_matrix image = quantize(app->train_features(), storage);
 
   const auto quality = [&](const scheme_factory& factory, double pcell) {
     rng gen(5);
     double total = 0.0;
     const int repeats = 4;
-    const storage_config storage;
+    store_tile tile(storage, factory);
     const fault_injector inject =
         binomial_fault_injector(tile_storage_geometry(storage, factory), pcell);
     for (int i = 0; i < repeats; ++i) {
-      total += app->evaluate(store_and_readback(app->train_features(), storage,
-                                                factory, inject, gen));
+      total += app->evaluate(
+          store_and_readback(image, tile, inject, gen).values);
     }
     return total / repeats / clean;
   };

@@ -10,10 +10,13 @@ namespace urmem {
 
 namespace {
 
+// lgamma_r, not std::lgamma, which writes the global signgam: campaign
+// workers build different distributions' tables at once.
 double log_choose(std::uint64_t n, std::uint64_t k) {
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(k) + 1.0, &sign) -
+         ::lgamma_r(static_cast<double>(n - k) + 1.0, &sign);
 }
 
 }  // namespace

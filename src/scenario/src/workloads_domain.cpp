@@ -5,6 +5,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "urmem/bist/bist_engine.hpp"
@@ -81,30 +82,36 @@ class psnr_workload final : public workload {
 
     // The (vdd x scheme) grid is sharded over the campaign pool: every
     // scheme sees the identical fault stream at each voltage (one named
-    // stream per grid cell), so columns stay comparable. Each grid
-    // cell's storage and injector are built once and shared by its
-    // repeats.
+    // stream per grid cell), so columns stay comparable. The image is
+    // quantized once (every recipe stores spec.geometry's Q-format),
+    // each grid cell's injector is built once and shared by its
+    // repeats, and each worker builds one tile per scheme on its first
+    // trial of that scheme and reuses it at every voltage.
     const std::size_t grid = vdds_.size() * recipes.size();
-    std::vector<storage_config> storages;
-    std::vector<fault_injector> injects;
-    storages.reserve(grid);
-    injects.reserve(grid);
-    for (std::size_t cell = 0; cell < grid; ++cell) {
-      const scheme_recipe& recipe = recipes[cell % recipes.size()];
-      storage_config storage = spec.storage(recipe.spare_rows);
-      storage.regions = recipe.regions;
-      injects.push_back(binomial_fault_injector(
-          tile_storage_geometry(storage, recipe.factory),
-          model.pcell(vdds_[cell / recipes.size()]), spec.fault.polarity));
-      storages.push_back(std::move(storage));
+    std::vector<storage_config> storages(recipes.size());
+    std::vector<fault_injector> injects(grid);
+    for (std::size_t s = 0; s < recipes.size(); ++s) {
+      storages[s] = spec.storage(recipes[s].spare_rows);
+      storages[s].regions = recipes[s].regions;
+      const array_geometry tile =
+          tile_storage_geometry(storages[s], recipes[s].factory);
+      for (std::size_t v = 0; v < vdds_.size(); ++v) {
+        injects[v * recipes.size() + s] = binomial_fault_injector(
+            tile, model.pcell(vdds_[v]), spec.fault.polarity);
+      }
     }
+    const quantized_matrix clean =
+        quantize(app->train_features(), spec.storage());
     const std::uint64_t trials = grid * repeats_;
-    const std::vector<double> psnrs = runner.map<double>(
-        trials, [&](std::uint64_t trial, rng&) {
+    std::vector<std::optional<store_tile>> tiles(runner.threads() *
+                                                 recipes.size());
+    std::vector<double> psnrs(trials);
+    const campaign_runner::worker_trial_body store_trial =
+        [&](std::uint64_t trial, rng&, unsigned worker) {
           const std::uint64_t cell = trial / repeats_;
           const std::uint64_t repeat = trial % repeats_;
           const std::uint64_t vdd_index = cell / recipes.size();
-          const scheme_recipe& recipe = recipes[cell % recipes.size()];
+          const std::size_t s = cell % recipes.size();
           // Scheme-independent stream keyed by the voltage INDEX:
           // every scheme stores through the same manufactured fault
           // population at this (vdd, repeat), and integer keys stay
@@ -113,11 +120,14 @@ class psnr_workload final : public workload {
               spec.seeds.root,
               "psnr.faults." + std::to_string(vdd_index) + "." +
                   std::to_string(repeat));
-          const matrix stored =
-              store_and_readback(app->train_features(), storages[cell],
-                                 recipe.factory, injects[cell], fault_gen);
-          return app->evaluate(stored);
-        });
+          std::optional<store_tile>& tile =
+              tiles[worker * recipes.size() + s];
+          if (!tile) tile.emplace(storages[s], recipes[s].factory);
+          psnrs[trial] = app->evaluate(
+              store_and_readback(clean, *tile, injects[cell], fault_gen)
+                  .values);
+        };
+    runner.run(trials, store_trial);
     output.trials = runner.last_stats().trials;
 
     for (std::size_t v = 0; v < vdds_.size(); ++v) {
@@ -189,6 +199,8 @@ class ml_quality_workload final : public workload {
     const cell_failure_model model = spec.failure_model();
     const auto app = make_application(app_name_, spec.seeds.app);
     const double clean = app->evaluate(app->train_features());
+    const quantized_matrix clean_image =
+        quantize(app->train_features(), spec.storage());
 
     std::ostringstream out;
     out << app->name() << " (" << app->dataset_name()
@@ -243,10 +255,9 @@ class ml_quality_workload final : public workload {
       } else {
         inject = binomial_fault_injector(tile, pcell, spec.fault.polarity);
       }
-      const matrix stored =
-          store_and_readback(app->train_features(), storage, recipe.factory,
-                             inject, gen, &stats);
-      const double metric = app->evaluate(stored);
+      store_tile store(storage, recipe.factory);
+      const double metric = app->evaluate(
+          store_and_readback(clean_image, store, inject, gen, &stats).values);
       const unsigned storage_cols = tile.width;
       table.add_row({recipe.display_name, std::to_string(storage_cols),
                      std::to_string(stats.injected_faults),

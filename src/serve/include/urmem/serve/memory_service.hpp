@@ -92,7 +92,8 @@ struct tile_traffic_counters {
   std::uint64_t uncorrectable_reads = 0;
   std::uint64_t word_errors = 0;        ///< readback != canonical word
   std::uint64_t quality_queries = 0;
-  std::uint64_t degraded_rows_seen = 0; ///< sum of residual_rows() per query
+  /// Sum of kept_residual_rows() per query.
+  std::uint64_t degraded_rows_seen = 0;
 };
 
 /// Deterministic integer snapshot of the whole service — the golden

@@ -13,8 +13,9 @@
 //    (and in what order) therefore cannot change its draws. This file
 //    is the one place that rule is stated and enforced: run_groups()
 //    hands a body a run of consecutive trials together with their
-//    engines, so a body that batches trials (Fig. 7's lane-batched PCA)
-//    still draws each trial from its own stream.
+//    engines and the executing worker's index, so a body that batches
+//    trials (Fig. 7's lane-batched PCA) still draws each trial from its
+//    own stream.
 //  * Deterministic reduction — per-trial outputs land in a slot indexed
 //    by trial number and are merged in trial order after the pool
 //    drains, so floating-point accumulation order is fixed.
@@ -27,7 +28,8 @@
 // Trial bodies must be thread-safe: they may read shared immutable
 // state (the application, the scheme factory) but must confine writes
 // to their own trials' slots — exactly what run()/map()/map_weighted()
-// provide.
+// provide — and to their worker's own state (the worker-index forms'
+// per-worker store tiles).
 #pragma once
 
 #include <cstdint>
@@ -77,11 +79,8 @@ class campaign_runner {
   using worker_trial_body =
       std::function<void(std::uint64_t trial, rng& gen, unsigned worker)>;
   /// Runs trials first .. first + gens.size() - 1, trial first + k on
-  /// gens[k], its own make_stream_rng engine.
-  using group_body =
-      std::function<void(std::uint64_t first, std::span<rng> gens)>;
-  /// group_body that also receives the executing worker's index, as
-  /// worker_trial_body does.
+  /// gens[k], its own make_stream_rng engine, on worker `worker` (as
+  /// worker_trial_body receives it).
   using worker_group_body = std::function<void(
       std::uint64_t first, std::span<rng> gens, unsigned worker)>;
 
@@ -108,10 +107,6 @@ class campaign_runner {
   /// for kernels that solve several trials at once. A claim takes whole
   /// groups: batch_size trials, rounded up to a multiple of `group`.
   /// last_stats().trials still counts trials.
-  void run_groups(std::uint64_t trials, std::uint64_t group,
-                  const group_body& body);
-
-  /// run_groups() variant handing the body the executing worker's index.
   void run_groups(std::uint64_t trials, std::uint64_t group,
                   const worker_group_body& body);
 

@@ -27,8 +27,9 @@
 // matrices: the readback is the clean values with the changed words
 // patched in, bit-identical to dequantizing a whole-tile pass, and it
 // lists the matrix rows that changed so an application can re-score
-// only those (application::make_group_evaluator). The overloads taking
-// a scheme_factory build one local tile per call.
+// only those (application::make_group_evaluator). A store is always
+// quantize, then a caller-held store_tile, then store_words or
+// store_and_readback on that tile.
 #pragma once
 
 #include <cstdint>
@@ -133,13 +134,6 @@ pipeline_stats store_words(std::span<const word_t> words, store_tile& tile,
                            const fault_injector& inject, rng& gen,
                            const tile_visitor& visit);
 
-/// store_words on one local tile built from `config` and `factory`.
-pipeline_stats store_words(std::span<const word_t> words,
-                           const storage_config& config,
-                           const scheme_factory& factory,
-                           const fault_injector& inject, rng& gen,
-                           const tile_visitor& visit);
-
 /// The clean image of a matrix in one storage config: its row-major
 /// fixed-point words and their dequantized values, which is exactly
 /// what a fault-free store reads back.
@@ -167,28 +161,13 @@ struct readback {
                                           rng& gen,
                                           pipeline_stats* stats = nullptr);
 
-/// The pass above on one local tile built from `config` and `factory`.
-[[nodiscard]] readback store_and_readback(const quantized_matrix& clean,
-                                          const storage_config& config,
-                                          const scheme_factory& factory,
-                                          const fault_injector& inject,
-                                          rng& gen,
-                                          pipeline_stats* stats = nullptr);
-
-/// Quantizes `input` and runs the pass above, returning the values.
-[[nodiscard]] matrix store_and_readback(const matrix& input,
-                                        const storage_config& config,
-                                        const scheme_factory& factory,
-                                        const fault_injector& inject, rng& gen,
-                                        pipeline_stats* stats = nullptr);
-
 /// Fault injector placing exactly `n` faults in every tile.
 [[nodiscard]] fault_injector exact_fault_injector(std::uint64_t n,
                                                   fault_polarity polarity =
                                                       fault_polarity::flip);
 
-/// The storage geometry of every tile store_words builds for `config`
-/// and `factory`: data plus spare rows, at the scheme's storage width.
+/// The storage geometry of a store_tile built from `config` and
+/// `factory`: data plus spare rows, at the scheme's storage width.
 [[nodiscard]] array_geometry tile_storage_geometry(const storage_config& config,
                                                    const scheme_factory& factory);
 

@@ -241,14 +241,6 @@ void campaign_runner::run(std::uint64_t trials, const worker_trial_body& body) {
 }
 
 void campaign_runner::run_groups(std::uint64_t trials, std::uint64_t group,
-                                 const group_body& body) {
-  expects(static_cast<bool>(body), "campaign needs a group body");
-  expects(group >= 1, "a group holds at least one trial");
-  run_units(trials, group, [&body](std::uint64_t first, std::span<rng> gens,
-                                   unsigned) { body(first, gens); });
-}
-
-void campaign_runner::run_groups(std::uint64_t trials, std::uint64_t group,
                                  const worker_group_body& body) {
   expects(static_cast<bool>(body), "campaign needs a group body");
   expects(group >= 1, "a group holds at least one trial");

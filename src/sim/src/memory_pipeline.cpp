@@ -109,15 +109,6 @@ pipeline_stats store_words(std::span<const word_t> words, store_tile& tile,
   return stats;
 }
 
-pipeline_stats store_words(std::span<const word_t> words,
-                           const storage_config& config,
-                           const scheme_factory& factory,
-                           const fault_injector& inject, rng& gen,
-                           const tile_visitor& visit) {
-  store_tile tile(config, factory);
-  return store_words(words, tile, inject, gen, visit);
-}
-
 readback store_and_readback(const quantized_matrix& clean, store_tile& tile,
                             const fault_injector& inject, rng& gen,
                             pipeline_stats* stats) {
@@ -142,23 +133,6 @@ readback store_and_readback(const quantized_matrix& clean, store_tile& tile,
       });
   if (stats != nullptr) *stats = local;
   return out;
-}
-
-readback store_and_readback(const quantized_matrix& clean,
-                            const storage_config& config,
-                            const scheme_factory& factory,
-                            const fault_injector& inject, rng& gen,
-                            pipeline_stats* stats) {
-  store_tile tile(config, factory);
-  return store_and_readback(clean, tile, inject, gen, stats);
-}
-
-matrix store_and_readback(const matrix& input, const storage_config& config,
-                          const scheme_factory& factory,
-                          const fault_injector& inject, rng& gen,
-                          pipeline_stats* stats) {
-  return store_and_readback(quantize(input, config), config, factory, inject,
-                            gen, stats).values;
 }
 
 fault_injector exact_fault_injector(std::uint64_t n, fault_polarity polarity) {

@@ -131,20 +131,22 @@ TEST(ImageAppTest, QuantizationPsnrIsHighAndFaultsDegradeIt) {
   const double clean = app->evaluate(quantizer.roundtrip(app->train_features()));
   EXPECT_GT(clean, 80.0);  // Q15.16 quantization noise is tiny vs peak 255
 
-  rng gen(3);
-  const matrix corrupted = store_and_readback(
-      app->train_features(), storage_config{},
-      [](std::uint32_t) { return make_scheme_none(); }, exact_fault_injector(60),
-      gen);
-  const double faulty = app->evaluate(corrupted);
-  EXPECT_LT(faulty, clean - 20.0);  // MSB flips crush PSNR
-
-  rng gen2(3);
-  const matrix protected_img = store_and_readback(
-      app->train_features(), storage_config{},
-      [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 5); },
-      exact_fault_injector(60), gen2);
-  EXPECT_GT(app->evaluate(protected_img), clean - 1.0);
+  // Both schemes store the image through the same 60 faults.
+  const storage_config config;
+  const quantized_matrix image = quantize(app->train_features(), config);
+  const auto stored_psnr = [&](const scheme_factory& factory) {
+    store_tile tile(config, factory);
+    rng gen(3);
+    return app->evaluate(
+        store_and_readback(image, tile, exact_fault_injector(60), gen).values);
+  };
+  // MSB flips crush PSNR.
+  EXPECT_LT(stored_psnr([](std::uint32_t) { return make_scheme_none(); }),
+            clean - 20.0);
+  EXPECT_GT(stored_psnr([](std::uint32_t rows) {
+              return make_scheme_shuffle(rows, 32, 5);
+            }),
+            clean - 1.0);
 }
 
 }  // namespace

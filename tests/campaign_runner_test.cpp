@@ -68,8 +68,9 @@ TEST(CampaignRunnerTest, RunsEveryTrialExactlyOnce) {
 }
 
 // run_groups hands each body call a run of consecutive trials, each on
-// its own stream; every trial is covered once, the last group may be
-// short, and last_stats() counts trials, not groups.
+// its own stream, and the index of the worker running it; every trial
+// is covered once, the last group may be short, and last_stats() counts
+// trials, not groups.
 TEST(CampaignRunnerTest, GroupsCarryConsecutiveTrialsOnTheirOwnStreams) {
   for (const unsigned threads : {1u, 3u}) {
     for (const std::uint64_t group : {1u, 8u, 13u}) {
@@ -77,7 +78,8 @@ TEST(CampaignRunnerTest, GroupsCarryConsecutiveTrialsOnTheirOwnStreams) {
       std::vector<std::uint64_t> draws(100);
       std::vector<std::atomic<int>> hits(100);
       runner.run_groups(100, group, [&](std::uint64_t first,
-                                        std::span<rng> gens) {
+                                        std::span<rng> gens, unsigned worker) {
+        EXPECT_LT(worker, threads);
         EXPECT_EQ(first % group, 0u);
         EXPECT_EQ(gens.size(), std::min<std::uint64_t>(group, 100 - first));
         for (std::size_t k = 0; k < gens.size(); ++k) {
@@ -100,7 +102,7 @@ TEST(CampaignRunnerTest, GroupBatchSizeCountsTrials) {
   for (const auto& [batch, claims] :
        {std::pair<std::uint64_t, std::uint64_t>{16, 7}, {17, 5}, {3, 13}}) {
     campaign_runner runner({.threads = 1, .batch_size = batch, .seed = 3});
-    runner.run_groups(100, 8, [](std::uint64_t, std::span<rng>) {});
+    runner.run_groups(100, 8, [](std::uint64_t, std::span<rng>, unsigned) {});
     EXPECT_EQ(runner.last_stats().batches, claims) << batch;
     EXPECT_EQ(runner.last_stats().trials, 100u) << batch;
   }

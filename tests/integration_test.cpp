@@ -69,16 +69,18 @@ TEST(IntegrationTest, SchemeOrderingOnRealApplication) {
   // <= quality(shuffle nFM>=2), evaluated on identical fault streams.
   const auto app = make_knn_app(3);
   const double clean = app->evaluate(app->train_features());
+  const storage_config config;
+  const quantized_matrix image = quantize(app->train_features(), config);
 
   const auto run = [&](const scheme_factory& factory, std::uint64_t seed) {
     rng gen(seed);
+    store_tile tile(config, factory);
     double total = 0.0;
     const int repeats = 6;
     for (int i = 0; i < repeats; ++i) {
-      const matrix stored =
-          store_and_readback(app->train_features(), storage_config{}, factory,
-                             exact_fault_injector(220), gen);
-      total += app->evaluate(stored);
+      total += app->evaluate(
+          store_and_readback(image, tile, exact_fault_injector(220), gen)
+              .values);
     }
     return total / repeats / clean;
   };

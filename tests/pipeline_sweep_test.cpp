@@ -70,10 +70,12 @@ TEST_P(PipelineSweep, RestoredValuesStayRepresentable) {
   }
   storage_config config;
   config.rows_per_tile = 1024;
+  store_tile tile(config, factory_of(id));
   pipeline_stats stats;
-  const matrix back = store_and_readback(m, config, factory_of(id),
-                                         exact_fault_injector(faults, polarity),
-                                         gen, &stats);
+  const matrix back =
+      store_and_readback(quantize(m, config), tile,
+                         exact_fault_injector(faults, polarity), gen, &stats)
+          .values;
   ASSERT_EQ(back.rows(), m.rows());
   ASSERT_EQ(back.cols(), m.cols());
   EXPECT_EQ(stats.injected_faults, faults);
@@ -98,11 +100,14 @@ TEST_P(PipelineSweep, PolarityNeverWorseThanFlipOnAverage) {
   }
   storage_config config;
   config.rows_per_tile = 1024;
+  const quantized_matrix clean = quantize(m, config);
+  store_tile tile(config, factory_of(id));
 
   const auto mean_abs_error = [&](fault_polarity p, std::uint64_t seed) {
     rng gen(seed);
-    const matrix back = store_and_readback(m, config, factory_of(id),
-                                           exact_fault_injector(faults, p), gen);
+    const matrix back =
+        store_and_readback(clean, tile, exact_fault_injector(faults, p), gen)
+            .values;
     double acc = 0.0;
     for (std::size_t i = 0; i < m.rows() * m.cols(); ++i) {
       acc += std::abs(back.data()[i] - m.data()[i]);

@@ -3,9 +3,12 @@
 // through `scenario_runner` must be bit-identical to the library calls
 // the old binaries made on a shared pool (compute_mse_cdf per scheme
 // for fig5, run_quality_experiment per scheme for fig7) at fixed
-// seeds, at 1 and 4 campaign threads.
+// seeds, at 1 and 4 campaign threads. The checked-in psnr_image spec
+// must report its golden's results at 1 and 4 threads.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "urmem/scenario/scenario_runner.hpp"
@@ -171,6 +174,35 @@ TEST(ScenarioGolden, Fig7ThreadCountInvariance) {
   const json_value t1 = scenario_fig7(1);
   const json_value t4 = scenario_fig7(4);
   EXPECT_EQ(t1.dump(), t4.dump());
+}
+
+// ------------------------------------------------------------ psnr-image
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// psnr-image keeps one store tile per worker per scheme: at one thread
+// a single tile per scheme serves all 48 trials, at four threads the
+// trials spread over four workers' tiles. Both must report exactly the
+// checked-in golden's results.
+TEST(ScenarioGolden, PsnrImageMatchesItsGoldenAtOneAndFourThreads) {
+  const std::filesystem::path root(URMEM_SCENARIO_DIR);
+  const json_value golden =
+      json_value::parse(read_text(root / "golden" / "psnr_image.out.json"));
+  ASSERT_NE(golden.find("results"), nullptr);
+  for (const unsigned threads : {1u, 4u}) {
+    scenario_spec spec =
+        scenario_spec::parse_text(read_text(root / "psnr_image.json"));
+    spec.run.threads = threads;
+    std::ostringstream text;
+    const json_value report = scenario_runner(spec).run(text).to_json();
+    EXPECT_EQ(report.find("results")->dump(), golden.find("results")->dump())
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -187,10 +187,11 @@ TEST(SparsePipeline, MatchesWholeTileOracleForEveryRecipe) {
       SCOPED_TRACE(spec + ", " + injections[i].name);
       rng sparse_gen = make_stream_rng(23, i);
       rng dense_gen = make_stream_rng(23, i);
+      // A new tile per pass; tile_reuse_test covers reused tiles.
+      store_tile sparse_tile(config, recipe.factory);
       pipeline_stats stats;
-      const readback sparse =
-          store_and_readback(clean, config, recipe.factory,
-                             injections[i].inject, sparse_gen, &stats);
+      const readback sparse = store_and_readback(
+          clean, sparse_tile, injections[i].inject, sparse_gen, &stats);
       const dense_result dense = dense_store_and_readback(
           clean.words, config, recipe.factory, injections[i].inject, dense_gen);
 
@@ -200,8 +201,9 @@ TEST(SparsePipeline, MatchesWholeTileOracleForEveryRecipe) {
       rng words_gen = make_stream_rng(23, i);
       std::vector<word_t> patched = clean.words;
       std::size_t visits = 0;
+      store_tile words_tile(config, recipe.factory);
       const pipeline_stats word_stats = store_words(
-          clean.words, config, recipe.factory, injections[i].inject, words_gen,
+          clean.words, words_tile, injections[i].inject, words_gen,
           [&](std::size_t first_word, const protected_memory& /*tile*/,
               std::span<const changed_word> changed) {
             EXPECT_EQ(first_word, visits * rows_per_tile);
